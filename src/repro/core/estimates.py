@@ -29,10 +29,13 @@ policy actually calls) through a scalar fast path whenever the bandwidth
 provider exposes scalar lookups; IEEE arithmetic makes the scalar and
 vectorized paths bit-identical, and the vectorized :meth:`ft_vector` API is
 unchanged for the pooled list heuristics and large (oracle-mode) views.
+Eq. (4) does not depend on loads, so each view evaluates it once per
+distinct ``(image, inputs)`` and every entry point reuses that row.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
@@ -67,6 +70,12 @@ class BandwidthProvider(Protocol):
         ...
 
 
+def _float_row(values: np.ndarray) -> array:
+    """A float64 row as ``array('d')``: indexing it yields the same Python
+    floats as ``tolist()`` would, at 8 bytes per entry instead of 32."""
+    return array("d", np.asarray(values, dtype=np.float64).tobytes())
+
+
 class OracleBandwidth:
     """Ground-truth bandwidth provider backed by the topology matrices."""
 
@@ -77,10 +86,11 @@ class OracleBandwidth:
     def __init__(self, topology) -> None:
         self._bw = topology._bandwidth
         self._lat = topology._latency
-        # Per-source row caches as plain lists (scalar fast path): indexing
-        # a Python list returns a float ~3x faster than numpy scalar
-        # indexing, and rows are touched repeatedly across cycles.
-        self._bw_rows: dict[int, tuple[list[float], list[float]]] = {}
+        # Per-source row caches (scalar fast path): indexing an
+        # ``array('d')`` returns a Python float several times faster than
+        # numpy scalar indexing, at a quarter of a list's memory, and rows
+        # are touched repeatedly across cycles.
+        self._bw_rows: dict[int, tuple[array, array]] = {}
 
     def bw_between(self, src: int, targets: np.ndarray) -> np.ndarray:
         return self._bw[src, targets]
@@ -94,8 +104,8 @@ class OracleBandwidth:
     def lat_to(self, src: int, dst: int) -> float:
         return self.rows(src)[1][dst]
 
-    def rows(self, src: int) -> tuple[list[float], list[float]]:
-        """``(bandwidth_row, latency_row)`` from ``src`` as plain lists.
+    def rows(self, src: int) -> tuple[array, array]:
+        """``(bandwidth_row, latency_row)`` from ``src`` as ``array('d')``.
 
         Rows are static for a whole run, so each is converted once and the
         scalar fast path indexes Python floats from then on.
@@ -103,8 +113,8 @@ class OracleBandwidth:
         row = self._bw_rows.get(src)
         if row is None:
             row = self._bw_rows[src] = (
-                self._bw[src].tolist(),
-                self._lat[src].tolist(),
+                _float_row(self._bw[src]),
+                _float_row(self._lat[src]),
             )
         return row
 
@@ -119,14 +129,14 @@ class LandmarkBandwidth:
     def __init__(self, estimator, topology) -> None:
         self._meas = estimator.measurements
         self._topology = topology
-        #: Row caching materializes O(n)-element Python lists per queried
+        #: Row caching materializes O(n)-element rows per queried
         #: source — the dominant scheduling cost above the exact-matrix
         #: scale, where views stay on the vectorized path instead.
         self.scalar_ok = topology.exact_paths
         #: src -> (estimated bandwidth row, latency row); estimates are
         #: static per run, so each queried source pays the O(n log n) row
         #: derivation once.
-        self._rows: dict[int, tuple[list[float], list[float]]] = {}
+        self._rows: dict[int, tuple[array, array]] = {}
 
     def bw_between(self, src: int, targets: np.ndarray) -> np.ndarray:
         est = np.minimum(self._meas[src][None, :], self._meas[targets]).max(axis=1)
@@ -142,7 +152,7 @@ class LandmarkBandwidth:
     def lat_to(self, src: int, dst: int) -> float:
         return self.rows(src)[1][dst]
 
-    def rows(self, src: int) -> tuple[list[float], list[float]]:
+    def rows(self, src: int) -> tuple[array, array]:
         """``(estimated bandwidth row, latency row)`` from ``src``.
 
         est(a, b) = max over landmarks of min(bw(a, L), bw(L, b)) — exact
@@ -153,8 +163,8 @@ class LandmarkBandwidth:
             est = np.minimum(self._meas[src][None, :], self._meas).max(axis=1)
             est[src] = np.inf
             row = self._rows[src] = (
-                est.tolist(),
-                self._topology.latency_row(src).tolist(),
+                _float_row(est),
+                _float_row(self._topology.latency_row(src)),
             )
         return row
 
@@ -188,6 +198,7 @@ class ResourceView:
         "_index",
         "_scalar",
         "_qd",
+        "_ltd_memo",
     )
 
     def __init__(
@@ -229,6 +240,8 @@ class ResourceView:
         # against the same view between load mutations, and ``add_load``
         # refreshes the single affected slot with the identical division.
         self._qd: list[float] | None = None
+        # Eq. (4) per distinct (image_mb, inputs), filled by ``_ltd``.
+        self._ltd_memo: dict[tuple, list[float] | np.ndarray] = {}
 
     @classmethod
     def trusted(
@@ -262,6 +275,7 @@ class ResourceView:
             and getattr(bandwidth, "scalar_ok", True)
         )
         view._qd = None
+        view._ltd_memo = {}
         return view
 
     def __len__(self) -> int:
@@ -291,8 +305,29 @@ class ResourceView:
         """R(·, p_h) for every candidate (Eq. 5's first argument)."""
         return self.loads / self.capacities
 
-    def ltd_vector(self, image_mb: float, inputs: Sequence[TaskInput]) -> np.ndarray:
-        """Eq. (4): longest transmission delay onto every candidate."""
+    def _ltd(
+        self, image_mb: float, inputs: Sequence[TaskInput]
+    ) -> list[float] | np.ndarray:
+        """Eq. (4) for every candidate, evaluated once per view and inputs.
+
+        LTD does not depend on loads, and a view's candidates and bandwidth
+        knowledge are fixed for its lifetime, so each distinct
+        ``(image_mb, inputs)`` is evaluated once and then reused by every
+        entry point — a list on the scalar path, an array otherwise.
+        Callers must not mutate the result.
+        """
+        memo_key = (image_mb, tuple(inputs))
+        ltd = self._ltd_memo.get(memo_key)
+        if ltd is None:
+            if self._scalar:
+                ltd = self._ltd_scalar(image_mb, inputs)
+            else:
+                ltd = self._ltd_array(image_mb, inputs)
+            self._ltd_memo[memo_key] = ltd
+        return ltd
+
+    def _ltd_array(self, image_mb: float, inputs: Sequence[TaskInput]) -> np.ndarray:
+        """Eq. (4) over the candidate array, one NumPy pass per source."""
         ids = self.ids
         ltd = np.zeros(len(ids))
         if image_mb > 0.0:
@@ -309,11 +344,38 @@ class ResourceView:
             np.maximum(ltd, t, out=ltd)
         return ltd
 
+    def _ltd_scalar(self, image_mb: float, inputs: Sequence[TaskInput]) -> list[float]:
+        """Pure-Python :meth:`_ltd_array`: every operation (division,
+        addition, max) matches the vectorized float64 expression bit for
+        bit."""
+        ids = self._ids
+        rows = self.bandwidth.rows
+        inf = np.inf
+        ltd = [0.0] * len(ids)
+        # The image from home first, then each dependent input in order —
+        # the accumulation order of _ltd_array (max is order-exact anyway).
+        for src, mb in ((self.home_id, image_mb), *inputs):
+            if not mb > 0.0:
+                continue
+            bw_row, lat_row = rows(src)
+            for k, nid in enumerate(ids):
+                if nid != src:
+                    b = bw_row[nid]
+                    # b == 0 must yield inf like numpy division, not raise.
+                    t = mb / b + lat_row[nid] if b else inf
+                    if t > ltd[k]:
+                        ltd[k] = t
+        return ltd
+
+    def ltd_vector(self, image_mb: float, inputs: Sequence[TaskInput]) -> np.ndarray:
+        """Eq. (4): longest transmission delay onto every candidate."""
+        return np.array(self._ltd(image_mb, inputs), dtype=np.float64)
+
     def ft_vector(
         self, load: float, image_mb: float, inputs: Sequence[TaskInput]
     ) -> np.ndarray:
         """FT(τ, p_h) for every candidate — Eq. (6), fully vectorized."""
-        st = np.maximum(self.queue_delays(), self.ltd_vector(image_mb, inputs))
+        st = np.maximum(self.queue_delays(), self._ltd(image_mb, inputs))
         return st + load / self.capacities
 
     # ---- scalar fast path --------------------------------------------------
@@ -322,57 +384,27 @@ class ResourceView:
     ) -> tuple[int, int, float]:
         """``(index, node_id, ft)`` of the earliest-finish candidate.
 
-        Pure-Python evaluation of Eq. (4)–(6) over the candidate lists;
+        Pure-Python evaluation of Eq. (5)–(6) over the candidate lists;
         every operation (division, addition, max, first-minimum) matches
         the vectorized float64 expression bit for bit.
         """
-        ids = self._ids
         caps = self._caps
-        rows = self.bandwidth.rows
-        home = self.home_id
-        inf = np.inf
         qd = self._qd
         if qd is None:
             # Same divisions as the loop formerly performed per call.
-            qd = self._qd = [x / c for x, c in zip(self._loads, self._caps)]
-        # Transfer sources: the image from home first, then each dependent
-        # input in order — the exact accumulation order of ltd_vector (max
-        # is order-exact anyway).
-        sources = []
-        if image_mb > 0.0:
-            sources.append((home, image_mb))
-        for src, mb in inputs:
-            if mb > 0.0:
-                sources.append((src, mb))
-
+            qd = self._qd = [x / c for x, c in zip(self._loads, caps)]
+        ltd = self._ltd(image_mb, inputs)
         best_k = 0
-        best_ft = inf
-        if sources:
-            ltd = [0.0] * len(ids)
-            for src, mb in sources:
-                bw_row, lat_row = rows(src)
-                for k, nid in enumerate(ids):
-                    if nid != src:
-                        b = bw_row[nid]
-                        # b == 0 must yield inf like numpy division, not raise.
-                        t = mb / b + lat_row[nid] if b else inf
-                        if t > ltd[k]:
-                            ltd[k] = t
-            for k, st in enumerate(qd):
-                d = ltd[k]
-                if d > st:
-                    st = d
-                ft = st + load / caps[k]
-                if ft < best_ft:
-                    best_ft = ft
-                    best_k = k
-        else:
-            for k, st in enumerate(qd):
-                ft = st + load / caps[k]
-                if ft < best_ft:
-                    best_ft = ft
-                    best_k = k
-        return best_k, ids[best_k], float(best_ft)
+        best_ft = np.inf
+        for k, st in enumerate(qd):
+            d = ltd[k]
+            if d > st:
+                st = d
+            ft = st + load / caps[k]
+            if ft < best_ft:
+                best_ft = ft
+                best_k = k
+        return best_k, self._ids[best_k], float(best_ft)
 
     def best(
         self, load: float, image_mb: float, inputs: Sequence[TaskInput]

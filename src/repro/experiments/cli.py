@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--profile-top", type=int, default=0, metavar="N",
                        help="embed the N hottest repo functions (cProfile)")
     bench.add_argument("--output", "-o", default=None,
-                       help="report path (default: the current PR's canonical "
-                            "BENCH_PR<N>.json artifact name)")
+                       help="report path (default: BENCH_LOCAL.json, which "
+                            "git ignores)")
     bench.add_argument(
         "--baseline", nargs="?", const="auto", default=None, metavar="REPORT.json",
         help="previous report to compute wall-clock speedups against; with "

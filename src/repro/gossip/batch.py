@@ -6,10 +6,11 @@ pile of ``(target, key, timestamp, payload...)`` rows — every target's
 existing cache contents plus everything delivered to it this round —
 deduplicated per ``(target, key)`` keeping the freshest timestamp, then
 trimmed to each target's ``cap`` freshest keys.  :func:`topk_merge` does
-that for the *whole system at once* in a handful of vectorized passes
-(two lexsorts plus segment arithmetic), replacing the per-delivery
-merge-dict / sort-and-refill loops that previously dominated the gossip
-hot path.
+that for the *whole system at once* in two sorts, each one unstable
+``argsort`` over an exact int64 code that packs every sort key (the
+timestamp enters as its rank among the pile's distinct stamps), replacing
+the per-delivery merge-dict / sort-and-refill loops that previously
+dominated the gossip hot path.
 
 :func:`row_topk_smallest` is the batched without-replacement sampler both
 protocols use: draw one random key per cache slot, then take the ``k``
@@ -45,9 +46,10 @@ def topk_merge(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Dedupe rows per ``(tgt, key)`` and keep the ``cap`` freshest per ``tgt``.
 
-    Parameters are parallel row arrays: integer ``tgt`` (cache owner),
-    integer ``key`` (the entry's identity within that cache), float ``ts``
-    (freshness), integer ``pref`` (tie priority, lower wins).
+    Parameters are parallel row arrays: non-negative int64 ``tgt`` (cache
+    owner), non-negative int64 ``key`` (the entry's identity within that
+    cache), float ``ts`` (freshness), non-negative int64 ``pref`` (tie
+    priority, lower wins).
 
     Returns ``(sel, tgt_sel, rank, uniq, counts, n_evicted)`` where
 
@@ -58,61 +60,65 @@ def topk_merge(
     * ``uniq`` / ``counts`` — the distinct targets touched and their new
       entry counts;
     * ``n_evicted`` — deduplicated entries dropped by the capacity cut.
+
+    Every sort key is packed into one exact int64 code per row, so no two
+    rows may agree on all of ``(tgt, key, ts, pref)``: then every code is
+    distinct and the result does not depend on how the platform's
+    unstable sort orders ties.  Both protocols guarantee the stronger
+    ``(tgt, key, pref)`` uniqueness by construction (cache rows hold
+    distinct entries, a sender's fan-out targets are distinct, a shuffle
+    pair has one rank).  A repeated row raises :class:`ValueError`, and a
+    pile whose codes would not fit in 63 bits raises
+    :class:`OverflowError`.
     """
     m = int(tgt.shape[0])
     if m == 0:
         z = np.zeros(0, dtype=np.int64)
         return z, z, z, z, z, 0
-    # Pass 1 — winner per (tgt, key) via ONE integer sort on the composite
-    # code plus segmented reductions (cheaper than a 4-key lexsort: each
-    # extra lexsort key is a full stable argsort pass).
+    # Stamps as ranks among the pile's distinct stamps, counted from the
+    # freshest: a smaller ``age`` sorts first.
+    stamps = np.unique(ts)
+    n_stamps = int(stamps.size)
+    age = (n_stamps - 1) - np.searchsorted(stamps, ts)
     key_bound = int(key.max()) + 1
-    code = tgt * key_bound + key
-    o = np.argsort(code, kind="stable")
+    pref_bound = int(pref.max()) + 1
+    if min(int(tgt.min()), int(key.min()), int(pref.min())) < 0:
+        raise ValueError("topk_merge needs non-negative tgt, key and pref")
+    if (int(tgt.max()) + 1) * key_bound * n_stamps * pref_bound >= 2**63:
+        raise OverflowError("topk_merge sort code does not fit in int64")
+    # Pass 1 — one sort by (tgt, key, fresher first, smaller pref); the
+    # first row of each (tgt, key) run is its winner.
+    code = ((tgt * key_bound + key) * n_stamps + age) * pref_bound + pref
+    o = np.argsort(code)
     code_s = code[o]
-    newg = np.empty(m, dtype=bool)
-    newg[0] = True
-    newg[1:] = code_s[1:] != code_s[:-1]
-    starts = np.flatnonzero(newg)
-    gidx = np.cumsum(newg) - 1
-    ts_s = ts[o]
-    gmax = np.maximum.reduceat(ts_s, starts)
-    is_max = ts_s == gmax[gidx]
-    pref_s = np.where(is_max, pref[o], np.iinfo(np.int64).max)
-    gminp = np.minimum.reduceat(pref_s, starts)
-    win = np.flatnonzero(is_max & (pref_s == gminp[gidx]))
-    # Defensive: (ts, pref) pairs are distinct within a group by
-    # construction, but keep only the first winner regardless.
-    gw = gidx[win]
-    fw = np.empty(win.size, dtype=bool)
-    fw[0] = True
-    fw[1:] = gw[1:] != gw[:-1]
-    kept = o[win[fw]]  # deduped rows, sorted by (tgt, key)
-    # Pass 2 — freshness rank within each target group: two stable
-    # argsorts.  The first resolves timestamp ties in the incoming
-    # (tgt, key) order, i.e. by ascending key; the second groups by
-    # target while preserving that order — together (tgt, ts desc, key).
+    if not (code_s[1:] != code_s[:-1]).all():
+        raise ValueError("topk_merge rows repeat a (tgt, key, ts, pref)")
+    group_s = code_s // (n_stamps * pref_bound)
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(group_s[1:], group_s[:-1], out=first[1:])
+    kept = o[first]
+    # Pass 2 — one sort of the survivors by (tgt, fresher first, key);
+    # the position within each target's run is the entry's slot.
     t_k = tgt[kept]
-    ts_k = ts[kept]
-    o1 = np.argsort(-ts_k, kind="stable")
-    o2 = np.argsort(t_k[o1], kind="stable")
-    order2 = o1[o2]
-    t_s = t_k[order2]
+    o2 = np.argsort((t_k * n_stamps + age[kept]) * key_bound + key[kept])
+    order2 = kept[o2]
+    t_s = t_k[o2]
     mk = int(t_s.shape[0])
-    newg2 = np.empty(mk, dtype=bool)
-    newg2[0] = True
-    newg2[1:] = t_s[1:] != t_s[:-1]
-    starts2 = np.flatnonzero(newg2)
-    rank = np.arange(mk, dtype=np.int64) - starts2[np.cumsum(newg2) - 1]
+    newg = np.empty(mk, dtype=bool)
+    newg[0] = True
+    np.not_equal(t_s[1:], t_s[:-1], out=newg[1:])
+    starts = np.flatnonzero(newg)
+    sizes = np.diff(np.append(starts, mk))
+    rank = np.arange(mk, dtype=np.int64) - np.repeat(starts, sizes)
     within = rank < cap
-    sizes = np.diff(np.append(starts2, mk))
     counts = np.minimum(sizes, cap)
     n_evicted = int((sizes - counts).sum())
     return (
-        kept[order2[within]],
+        order2[within],
         t_s[within],
         rank[within],
-        t_s[starts2],
+        t_s[starts],
         counts,
         n_evicted,
     )

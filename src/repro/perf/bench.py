@@ -4,12 +4,13 @@ The paper's scalability study (Fig. 11) and every "make the hot path
 faster" PR need a fixed, machine-readable performance baseline.  This
 module provides it:
 
-* five end-to-end presets — the Fig. 4 base setting (``paper-fig4``), a
+* six end-to-end presets — the Fig. 4 base setting (``paper-fig4``), a
   streaming-arrival variant (``poisson-steady``), a Fig. 11-style
   large-grid run (``fig11-grid``), a Fig. 10-style dynamic grid
-  (``fig10-dynamic``, paper-interval churn with rescheduling) and the
-  1000-node production-scale trajectory point (``metro-1k``) — each a
-  single-process, fully deterministic simulation;
+  (``fig10-dynamic``, paper-interval churn with rescheduling), the
+  1000-node production-scale trajectory point (``metro-1k``) and its
+  10,000-node counterpart (``metro-10k``) — each a single-process, fully
+  deterministic simulation;
 * :func:`run_bench`, which times them (wall clock, events/second, peak
   RSS) with optional cProfile hot-spot capture and optional comparison
   against a previously written report;
@@ -68,8 +69,10 @@ __all__ = [
 #: 2: per-scenario peak-RSS isolation (``peak_rss_delta_kb`` is honest).
 BENCH_SCHEMA = 2
 
-#: The canonical repo-root artifact name for this PR's baseline.
-DEFAULT_REPORT_NAME = "BENCH_PR9.json"
+#: Where a bare ``repro bench`` writes its report: a git-ignored name that
+#: ``discover_baseline`` never picks up, so a local run cannot overwrite
+#: or stand in for a committed ``BENCH_PR<N>.json``.
+DEFAULT_REPORT_NAME = "BENCH_LOCAL.json"
 
 #: Fields every per-scenario entry must carry (CI schema assertion).
 _REQUIRED_SCENARIO_FIELDS = (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -133,3 +135,118 @@ class TestValidation:
 
     def test_len(self):
         assert len(_view()) == 3
+
+
+class CountingBandwidth:
+    """Random dense bandwidth/latency that counts Eq. (4) lookups per source.
+
+    Vector-only (no ``rows``), so views over it take the NumPy path.
+    """
+
+    def __init__(self, n=12, seed=3):
+        rng = np.random.default_rng(seed)
+        self.bw = rng.uniform(1.0, 100.0, (n, n))
+        self.lat = rng.uniform(0.0, 0.2, (n, n))
+        self.lookups: Counter[int] = Counter()
+
+    def bw_between(self, src, targets):
+        self.lookups[src] += 1
+        return self.bw[src, targets]
+
+    def latency_between(self, src, targets):
+        return self.lat[src, targets]
+
+
+class CountingScalarBandwidth(CountingBandwidth):
+    """The same knowledge through ``rows``, so views take the scalar path."""
+
+    scalar_ok = True
+
+    def rows(self, src):
+        self.lookups[src] += 1
+        return self.bw[src].tolist(), self.lat[src].tolist()
+
+
+#: (image Mb, inputs) per task; the first repeats later, and sources 9 and
+#: 11 lie outside the candidate set.
+_TASKS = [
+    (50.0, [(3, 40.0)]),
+    (0.0, [(2, 10.0), (9, 20.0)]),
+    (50.0, [(3, 40.0)]),
+    (25.0, []),
+    (0.0, [(11, 0.0)]),
+    (10.0, [(9, 5.0), (3, 7.5)]),
+]
+_IDS = [0, 1, 2, 3, 4, 5, 6, 7]
+_CAPS = [1.0, 2.0, 4.0, 1.0, 2.0, 4.0, 8.0, 3.0]
+
+
+def _counting_view(provider, loads=None):
+    loads = list(loads) if loads is not None else [5.0 * k for k in range(len(_IDS))]
+    return ResourceView(list(_IDS), list(_CAPS), loads, provider, home_id=0)
+
+
+def _expected_lookups(home=0):
+    """One lookup per transfer source of each *distinct* task."""
+    want: Counter[int] = Counter()
+    for image, inputs in {(image, tuple(inputs)) for image, inputs in _TASKS}:
+        if image > 0.0:
+            want[home] += 1
+        for src, mb in inputs:
+            if mb > 0.0:
+                want[src] += 1
+    return want
+
+
+@pytest.mark.parametrize("provider_cls", [CountingBandwidth, CountingScalarBandwidth])
+class TestLtdMemo:
+    def test_each_distinct_task_evaluated_once_per_view(self, provider_cls):
+        provider = provider_cls()
+        view = _counting_view(provider)
+        for round_ in range(3):
+            for image, inputs in _TASKS:
+                view.best(100.0, image, inputs)
+                view.best_ft(100.0, image, inputs)
+                view.ft_vector(100.0, image, inputs)
+                view.ltd_vector(image, inputs)
+            view.add_load(_IDS[round_ + 1], 40.0)
+        assert provider.lookups == _expected_lookups()
+        # The memo is per view: a new view evaluates every task again.
+        fresh = _counting_view(provider)
+        for image, inputs in _TASKS:
+            fresh.best_ft(100.0, image, inputs)
+        assert provider.lookups == _expected_lookups() + _expected_lookups()
+
+    def test_estimates_after_add_load_equal_a_fresh_views(self, provider_cls):
+        view = _counting_view(provider_cls())
+        loads = [5.0 * k for k in range(len(_IDS))]
+        for image, inputs in _TASKS:
+            view.best(100.0, image, inputs)
+        for nid, load in ((2, 40.0), (5, 300.0), (2, 7.5)):
+            view.add_load(nid, load)
+            loads[_IDS.index(nid)] += load
+        fresh = _counting_view(provider_cls(), loads)
+        for image, inputs in _TASKS:
+            for load in (1.0, 100.0, 5000.0):
+                assert view.best(load, image, inputs) == fresh.best(load, image, inputs)
+                assert view.best_ft(load, image, inputs) == fresh.best_ft(load, image, inputs)
+                assert np.array_equal(
+                    view.ft_vector(load, image, inputs), fresh.ft_vector(load, image, inputs)
+                )
+
+    def test_memoized_ltd_equals_a_fresh_vector_views(self, provider_cls):
+        # One view answers every task from its memo; the reference is a new
+        # NumPy-path view per task, so neither memo keys nor the scalar
+        # arithmetic can drift from Eq. (4) unnoticed.
+        view = _counting_view(provider_cls())
+        for image, inputs in _TASKS + _TASKS[::-1]:
+            reference = _counting_view(CountingBandwidth())
+            assert np.array_equal(view.ltd_vector(image, inputs),
+                                  reference.ltd_vector(image, inputs))
+
+    def test_ltd_vector_returns_a_copy(self, provider_cls):
+        view = _counting_view(provider_cls())
+        image, inputs = _TASKS[0]
+        first = view.ltd_vector(image, inputs)
+        first[:] = -1.0
+        assert (view.ltd_vector(image, inputs) >= 0.0).all()

@@ -152,7 +152,8 @@ class TestCache:
         first = runner.run(specs)
         path = runner._cache_path(first.runs[0].cache_key)
         path.write_bytes(b"not a pickle")
-        recovered = runner.run(specs)
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt cache entry"):
+            recovered = runner.run(specs)
         assert recovered.n_cached == 0
         assert recovered.fingerprint() == first.fingerprint()
         # ... and the fresh result replaced the corrupt entry.
