@@ -155,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     camp.add_argument(
         "--journal", default=None, metavar="JOURNAL.jsonl",
-        help="crash-safe progress journal: every finished cell is fsynced "
-             "as it completes, so a killed campaign can be resumed",
+        help="crash-safe progress journal: every finished cell is synced to "
+             "disk as it completes, so a killed campaign can be resumed",
     )
     camp.add_argument(
         "--resume", action="store_true",
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument(
         "--journal", default=None, metavar="JOURNAL.jsonl",
         help="crash-safe progress journal: every finished probe cell is "
-             "fsynced as it completes, so a killed sweep can be resumed",
+             "synced to disk as it completes, so a killed sweep can be resumed",
     )
     sw.add_argument(
         "--resume", action="store_true",
@@ -430,6 +430,45 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
+def _begin_journal(args, kind: str, payload, request: dict, faults=None):
+    """Open ``args.journal`` for one campaign/sweep request and begin it.
+
+    ``payload`` is what :func:`~repro.experiments.journal.request_identity`
+    hashes and ``request`` the human-readable echo in the ``begin`` record.
+    With ``--resume`` the journal must exist and carry the same identity;
+    without it, any stale journal at the path is truncated.  Returns
+    ``(journal, resumed_state_or_None)``.
+    """
+    from pathlib import Path
+
+    from repro.experiments.journal import RunJournal, request_identity
+    from repro.faults import NULL_FAULTS
+
+    identity = request_identity(kind, payload)
+    state = None
+    if args.resume:
+        state = RunJournal.load(args.journal)
+        if state is None:
+            raise SystemExit(f"--resume: no journal at {args.journal}")
+        if state.identity != identity:
+            raise SystemExit(
+                f"--resume: the journal was written by a different {kind} "
+                "request (grid, settings, config or code version changed) — "
+                "start fresh without --resume"
+            )
+        if not args.quiet:
+            print(
+                f"resuming: {len(state.done)} {kind} cells journaled done "
+                "(replayed from cache)",
+                file=sys.stderr,
+            )
+    else:
+        Path(args.journal).unlink(missing_ok=True)
+    journal = RunJournal(args.journal, faults=faults or NULL_FAULTS)
+    journal.begin(kind, identity, request)
+    return journal, state
+
+
 def _cmd_campaign(args) -> int:
     from repro.api import run_campaign
     from repro.experiments.campaign import CampaignError
@@ -467,10 +506,7 @@ def _cmd_campaign(args) -> int:
     journal = None
     journal_state = None
     if args.journal:
-        import os
-
         from repro.experiments.campaign import config_hash, sweep_specs
-        from repro.experiments.journal import RunJournal, request_identity
 
         try:
             cells = [
@@ -479,35 +515,10 @@ def _cmd_campaign(args) -> int:
             ]
         except ValueError as exc:
             raise SystemExit(str(exc))
-        identity = request_identity("campaign", cells)
-        if args.resume:
-            journal_state = RunJournal.load(args.journal)
-            if journal_state is None:
-                raise SystemExit(f"--resume: no journal at {args.journal}")
-            if journal_state.identity != identity:
-                raise SystemExit(
-                    "--resume: the journal was written by a different request "
-                    "(algorithms/seeds/config/code version changed) — "
-                    "start fresh without --resume"
-                )
-            if not args.quiet:
-                print(
-                    f"resuming: {len(journal_state.done)}/{len(cells)} cells "
-                    "journaled done (replayed from cache)",
-                    file=sys.stderr,
-                )
-        else:
-            # A fresh run truncates any stale journal for this path.
-            try:
-                os.unlink(args.journal)
-            except FileNotFoundError:
-                pass
-        from repro.faults import NULL_FAULTS
-
-        journal = RunJournal(args.journal, faults=faults or NULL_FAULTS)
-        journal.begin(
+        journal, journal_state = _begin_journal(
+            args,
             "campaign",
-            identity,
+            cells,
             {
                 "algorithms": list(args.algorithms),
                 "seeds": [int(s) for s in args.seeds],
@@ -515,6 +526,7 @@ def _cmd_campaign(args) -> int:
                 "scenario": args.scenario,
                 "overrides": {k: repr(v) for k, v in overrides.items()},
             },
+            faults=faults,
         )
     progress = None
     if not args.quiet:
@@ -543,6 +555,8 @@ def _cmd_campaign(args) -> int:
             retry_backoff=args.retry_backoff,
             faults=faults,
         )
+        if journal is not None:
+            journal.finish(campaign.fingerprint())
     except CampaignError as exc:  # run failures (message embeds each one)
         raise SystemExit(str(exc))
     except ValueError as exc:  # bad sweep shape, e.g. repeated seeds
@@ -550,10 +564,6 @@ def _cmd_campaign(args) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if journal is not None:
-        # finish() lazily reopens the closed handle for the final record.
-        journal.finish(campaign.fingerprint())
-        journal.close()
     if journal_state is not None:
         mismatched = [
             run.label
@@ -641,11 +651,8 @@ def _cmd_sweep(args) -> int:
     journal_state = None
     mismatched: list[str] = []
     if args.journal:
-        import os
-
         from repro import __version__
         from repro.experiments.campaign import CACHE_SCHEMA
-        from repro.experiments.journal import RunJournal, request_identity
 
         request = {
             "scenarios": list(args.scenarios),
@@ -660,29 +667,7 @@ def _cmd_sweep(args) -> int:
             "version": __version__,
             "cache_schema": CACHE_SCHEMA,
         }
-        identity = request_identity("sweep", request)
-        if args.resume:
-            journal_state = RunJournal.load(args.journal)
-            if journal_state is None:
-                raise SystemExit(f"--resume: no journal at {args.journal}")
-            if journal_state.identity != identity:
-                raise SystemExit(
-                    "--resume: the journal was written by a different sweep "
-                    "request — start fresh without --resume"
-                )
-            if not args.quiet:
-                print(
-                    f"resuming: {len(journal_state.done)} probe cells "
-                    "journaled done (replayed from cache)",
-                    file=sys.stderr,
-                )
-        else:
-            try:
-                os.unlink(args.journal)
-            except FileNotFoundError:
-                pass
-        journal = RunJournal(args.journal)
-        journal.begin("sweep", identity, request)
+        journal, journal_state = _begin_journal(args, "sweep", request, request)
     progress = None
     if not args.quiet:
         def progress(scenario, algorithm, probe):  # noqa: ANN001
@@ -715,6 +700,10 @@ def _cmd_sweep(args) -> int:
             run_progress=run_progress,
             **overrides,
         )
+        if journal is not None:
+            from repro.experiments.journal import request_identity
+
+            journal.finish(request_identity("sweep-report", report))
     except SweepError as exc:
         raise SystemExit(str(exc))
     except CampaignError as exc:
@@ -724,11 +713,6 @@ def _cmd_sweep(args) -> int:
     finally:
         if journal is not None:
             journal.close()
-    if journal is not None:
-        from repro.experiments.journal import request_identity as _report_hash
-
-        journal.finish(_report_hash("sweep-report", report))
-        journal.close()
     if mismatched:
         raise SystemExit(
             "--resume: cached digests diverged from the journal for: "

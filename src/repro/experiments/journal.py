@@ -1,12 +1,19 @@
-"""Crash-safe run journal: ``repro campaign --resume`` / ``repro sweep --resume``.
+"""Crash-safe JSON-lines logs, and the run journal behind ``--resume``.
 
-A multi-hour campaign killed at cell 37/48 should not restart from cell
+:class:`JsonlLog` is the one durable append log in the package: the run
+journal below, the service submission journal
+(:mod:`repro.service.journal`) and the experiment index
+(:mod:`repro.service.index`) are all built on it and add only what their
+records mean.  One JSON object per line, flushed and fsynced per record,
+so a ``SIGKILL`` can lose at most the record being written and never
+corrupts earlier ones.
+
+The run journal (``repro campaign --resume`` / ``repro sweep --resume``):
+a multi-hour campaign killed at cell 37/48 should not restart from cell
 one.  The cache already guarantees the *results* survive (each finished
 cell is an atomically-written ``<hash>.pkl``); what a crash loses is the
 *bookkeeping* — which cells of which request were done, and what their
-digests were.  The journal persists exactly that, one JSON object per
-line, flushed and fsynced per record, so a ``SIGKILL`` can lose at most
-the record being written and never corrupts earlier ones:
+digests were.  The journal persists exactly that:
 
 ``begin``
     opens a journal: the request's *identity hash* (a content hash of the
@@ -29,13 +36,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from repro.faults import NULL_FAULTS
 
-__all__ = ["JournalState", "RunJournal", "request_identity"]
+__all__ = ["JournalState", "JsonlLog", "RunJournal", "request_identity"]
 
 JOURNAL_SCHEMA = 1
 
@@ -67,64 +75,113 @@ class JournalState:
     skipped_lines: int = 0
 
 
-class RunJournal:
-    """Append-side journal handle for one campaign/sweep process.
+class JsonlLog:
+    """One thread-safe, crash-safe JSON-lines file.
 
-    Not thread-safe — the CLI writes from the single-threaded
-    orchestrator's progress callback.  ``faults`` may inject
-    ``index.append`` tears; recovery (drop the handle, keep going,
-    terminate the torn tail on reopen) is the same code path a real
-    ``ENOSPC`` would take.
+    * :meth:`append` writes one ``sort_keys`` compact JSON line, then
+      flushes and fsyncs it, under a lock.  The file opens lazily, and a
+      torn tail (a crash mid-write left no trailing newline) is
+      terminated once per open, so the next record starts on its own line.
+    * An append never raises ``OSError`` (a real ``ENOSPC``/``EIO``, or an
+      injected ``index.append`` tear from ``faults``): it is counted in
+      :attr:`append_errors`, the handle is dropped, and the next append
+      reopens the file and repairs its tail.  Callers keep their
+      in-memory state either way.
+    * :meth:`records` yields every line that parses to a JSON object and
+      counts the rest (torn or foreign lines) in :attr:`skipped_lines`;
+      subclasses add their own rejects to the same count.
+
+    The lock is reentrant so a subclass can hold it across an append and
+    the in-memory update that must stay in the same order.
     """
 
     def __init__(self, path: "str | os.PathLike", faults=NULL_FAULTS):
         self.path = Path(path)
         self.faults = faults
+        self._lock = threading.RLock()
         self._fh = None
-        #: Appends that failed (torn writes); the in-memory campaign is
-        #: unaffected, the next append reopens and repairs the tail.
+        #: Appends that failed with an IO error (torn writes).
         self.append_errors = 0
+        #: Lines :meth:`records` (or a subclass) could not use.
+        self.skipped_lines = 0
 
-    # ------------------------------------------------------------- writing
+    def records(self) -> Iterator[dict]:
+        """Yield each JSON-object line in file order (nothing if absent)."""
+        if not self.path.is_file():
+            return
+        with self.path.open("r", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                except ValueError:
+                    self.skipped_lines += 1
+                    continue
+                if isinstance(rec, dict):
+                    yield rec
+                else:
+                    self.skipped_lines += 1
+
     def _handle(self):
-        """Lazily (re)open for append, terminating any torn tail first."""
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            needs_newline = False
-            if self.path.is_file() and self.path.stat().st_size > 0:
-                with self.path.open("rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    needs_newline = fh.read(1) != b"\n"
-            self._fh = self.path.open("a", encoding="utf-8")
-            if needs_newline:
-                self._fh.write("\n")
+            self._fh = fh = self.path.open("ab+")
+            if fh.seek(0, os.SEEK_END) > 0:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    fh.write(b"\n")
         return self._fh
 
-    def _append(self, record: Mapping) -> None:
+    def _drop(self) -> None:
+        if self._fh is not None:
+            fh, self._fh = self._fh, None
+            try:
+                fh.close()
+            except OSError:  # pragma: no cover - double-fault close
+                pass
+
+    def append(self, record: Mapping) -> None:
+        """Durably append one record; an IO error is counted, not raised."""
         line = json.dumps(dict(record), sort_keys=True, separators=(",", ":"))
-        try:
-            fh = self._handle()
-            if self.faults.enabled and self.faults.check("index.append") is not None:
-                # A torn write: half the line lands on disk, no newline,
-                # and the writer sees an IO error — exactly what a crash
-                # or full disk leaves behind.
-                fh.write(line[: max(1, len(line) // 2)])
+        with self._lock:
+            try:
+                fh = self._handle()
+                if self.faults.enabled and self.faults.check("index.append") is not None:
+                    # A torn write: half the line lands on disk, no newline,
+                    # and the writer sees an IO error — exactly what a crash
+                    # or full disk leaves behind.
+                    fh.write(line[: max(1, len(line) // 2)].encode("utf-8"))
+                    fh.flush()
+                    raise OSError("injected torn append")
+                fh.write(line.encode("utf-8") + b"\n")
                 fh.flush()
-                raise OSError("injected torn journal append")
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        except OSError:
-            self.append_errors += 1
-            if self._fh is not None:
-                try:
-                    self._fh.close()
-                except OSError:  # pragma: no cover - double-fault close
-                    pass
-                self._fh = None
+                os.fsync(fh.fileno())
+            except OSError:
+                self.append_errors += 1
+                self._drop()
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class RunJournal(JsonlLog):
+    """Append-side journal handle for one campaign/sweep process.
+
+    ``faults`` may inject ``index.append`` tears; recovery is the same
+    code path a real ``ENOSPC`` would take (see :class:`JsonlLog`).
+    """
 
     def begin(self, kind: str, identity: str, request: Mapping) -> None:
-        self._append(
+        self.append(
             {
                 "event": "begin",
                 "schema": JOURNAL_SCHEMA,
@@ -135,82 +192,55 @@ class RunJournal:
         )
 
     def record_done(self, key: str, label: str, digest: str) -> None:
-        self._append({"event": "done", "key": key, "label": label, "digest": digest})
+        self.append({"event": "done", "key": key, "label": label, "digest": digest})
 
     def finish(self, fingerprint: str) -> None:
-        self._append({"event": "finish", "fingerprint": fingerprint})
+        self.append({"event": "finish", "fingerprint": fingerprint})
 
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------- loading
     @staticmethod
     def load(path: "str | os.PathLike") -> Optional[JournalState]:
         """Parse a journal; ``None`` if it doesn't exist or has no valid
         ``begin`` record.  Corrupt lines (torn tails) are skipped, and a
         later ``begin`` resets the state (a resumed run re-begins)."""
-        path = Path(path)
-        if not path.is_file():
-            return None
+        log = JsonlLog(path)
         state: Optional[JournalState] = None
-        skipped = 0
-        with path.open("r", encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    skipped += 1
-                    continue
-                if not isinstance(rec, dict):
-                    skipped += 1
-                    continue
-                event = rec.get("event")
-                if event == "begin":
-                    if (
-                        rec.get("schema") == JOURNAL_SCHEMA
-                        and isinstance(rec.get("kind"), str)
-                        and isinstance(rec.get("identity"), str)
-                    ):
-                        # Done cells carry across a re-begin only when it
-                        # is the *same* request resuming.
-                        done = (
-                            state.done
-                            if state is not None and state.identity == rec["identity"]
-                            else {}
-                        )
-                        state = JournalState(
-                            kind=rec["kind"],
-                            identity=rec["identity"],
-                            request=dict(rec.get("request") or {}),
-                            done=done,
-                        )
-                    else:
-                        skipped += 1
-                elif state is None:
-                    skipped += 1
-                elif event == "done":
-                    key, digest = rec.get("key"), rec.get("digest")
-                    if isinstance(key, str) and isinstance(digest, str):
-                        state.done[key] = digest
-                    else:
-                        skipped += 1
-                elif event == "finish":
-                    state.finished = True
-                    fp = rec.get("fingerprint")
-                    state.fingerprint = fp if isinstance(fp, str) else None
+        for rec in log.records():
+            event = rec.get("event")
+            if event == "begin":
+                if (
+                    rec.get("schema") == JOURNAL_SCHEMA
+                    and isinstance(rec.get("kind"), str)
+                    and isinstance(rec.get("identity"), str)
+                ):
+                    # Done cells carry across a re-begin only when it is
+                    # the *same* request resuming.
+                    done = (
+                        state.done
+                        if state is not None and state.identity == rec["identity"]
+                        else {}
+                    )
+                    state = JournalState(
+                        kind=rec["kind"],
+                        identity=rec["identity"],
+                        request=dict(rec.get("request") or {}),
+                        done=done,
+                    )
                 else:
-                    skipped += 1
+                    log.skipped_lines += 1
+            elif state is None:
+                log.skipped_lines += 1
+            elif event == "done":
+                key, digest = rec.get("key"), rec.get("digest")
+                if isinstance(key, str) and isinstance(digest, str):
+                    state.done[key] = digest
+                else:
+                    log.skipped_lines += 1
+            elif event == "finish":
+                state.finished = True
+                fp = rec.get("fingerprint")
+                state.fingerprint = fp if isinstance(fp, str) else None
+            else:
+                log.skipped_lines += 1
         if state is not None:
-            state.skipped_lines = skipped
+            state.skipped_lines = log.skipped_lines
         return state

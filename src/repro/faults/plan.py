@@ -34,7 +34,8 @@ Sites (see :data:`SITES`):
 ``cache.write``           ``OSError`` while writing a cached result
 ``cache.corrupt``         the cached pickle is written truncated (a torn
                           writer), to be quarantined by a later read
-``index.append``          the experiment-index/journal append tears mid-line
+``index.append``          an experiment-index or run-journal append tears
+                          mid-line (the service journal never checks it)
 ``http.reset``            the service drops the connection before responding
 ``http.slow``             the service stalls ``delay`` seconds before
                           responding

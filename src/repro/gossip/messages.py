@@ -6,15 +6,15 @@ exactly the fields Algorithm 1 needs to evaluate Formula (9):
 the owner's identity, capacity ``c``, total load ``l`` and a freshness
 timestamp.  ``ttl`` implements the paper's max-hop bound (default 4).
 
-``NodeStateRecord`` is the highest-volume object in the simulation (every
-gossip cycle stamps one per live node and ships several per push), so it is
-a hand-rolled ``__slots__`` class rather than a dataclass: construction is
-a plain attribute-assignment ``__init__`` and :meth:`aged` memoizes the
-one-hop-older copy — records are immutable by convention, so the memo can
-be shared by every path that forwards the same record again.
+The gossip layer itself stores node state as struct-of-arrays rows
+(:mod:`repro.gossip.epidemic`); ``NodeStateRecord`` is the per-record view
+:meth:`~repro.gossip.epidemic.EpidemicGossip.rss_view` snapshots for tests
+and cold call sites.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 __all__ = ["NodeStateRecord", "MESSAGE_PAYLOAD_BYTES", "MESSAGE_HEADER_BYTES"]
 
@@ -23,11 +23,8 @@ MESSAGE_PAYLOAD_BYTES = 80
 MESSAGE_HEADER_BYTES = 20
 
 
-class NodeStateRecord:
-    """One node's advertised resource state.
-
-    Treat instances as immutable (they are shared across every RSS that
-    received a copy); derive new records via :meth:`aged` or construction.
+class NodeStateRecord(NamedTuple):
+    """One node's advertised resource state (immutable).
 
     Attributes
     ----------
@@ -46,51 +43,16 @@ class NodeStateRecord:
         records at 0 are delivered but not re-forwarded.
     """
 
-    __slots__ = ("node_id", "capacity", "total_load", "timestamp", "ttl", "_aged")
-
-    def __init__(
-        self,
-        node_id: int,
-        capacity: float,
-        total_load: float,
-        timestamp: float,
-        ttl: int = 4,
-    ):
-        self.node_id = node_id
-        self.capacity = capacity
-        self.total_load = total_load
-        self.timestamp = timestamp
-        self.ttl = ttl
-        self._aged: "NodeStateRecord | None" = None
+    node_id: int
+    capacity: float
+    total_load: float
+    timestamp: float
+    ttl: int = 4
 
     def aged(self) -> "NodeStateRecord":
-        """Copy with one relay hop consumed (memoized — hot path)."""
-        out = self._aged
-        if out is None:
-            out = NodeStateRecord(
-                self.node_id, self.capacity, self.total_load, self.timestamp,
-                self.ttl - 1,
-            )
-            self._aged = out
-        return out
+        """Copy with one relay hop consumed."""
+        return self._replace(ttl=self.ttl - 1)
 
     def fresher_than(self, other: "NodeStateRecord") -> bool:
         """True if this record supersedes ``other`` for the same node."""
         return self.timestamp > other.timestamp
-
-    def _key(self) -> tuple:
-        return (self.node_id, self.capacity, self.total_load, self.timestamp, self.ttl)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NodeStateRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"NodeStateRecord(node_id={self.node_id}, capacity={self.capacity}, "
-            f"total_load={self.total_load}, timestamp={self.timestamp}, ttl={self.ttl})"
-        )

@@ -5,7 +5,6 @@
 * :mod:`repro.grid.node` — peer nodes (every node is both a scheduler node
   and a resource node with a non-sharable, non-preemptive CPU).
 * :mod:`repro.grid.transfers` — concurrent data/image transfers.
-* :mod:`repro.grid.churn` — the dynamic-factor join/leave process.
 * :mod:`repro.grid.system` — wires topology, gossip, workflows, schedulers
   and metrics into one runnable simulation.
 """

@@ -439,6 +439,12 @@ class _Handler(BaseHTTPRequestHandler):
                 [(None, float(state.index.append_errors))],
             ),
             (
+                "repro_journal_append_errors_total",
+                "counter",
+                "submission-journal appends that failed (restart-resume at risk)",
+                [(None, float(state.journal.append_errors))],
+            ),
+            (
                 "repro_faults_injected_total",
                 "counter",
                 "faults fired by the active injection plan (0 when disabled)",

@@ -1,8 +1,8 @@
 """Persistent experiment index: a crash-safe JSON-lines journal.
 
-Every run the service completes is appended to an on-disk journal (one
-JSON object per line, flushed and fsynced per record, so a crash can lose
-at most the record being written — never corrupt earlier ones).  On
+Every run the service completes is appended to an on-disk journal (a
+:class:`~repro.experiments.journal.JsonlLog`, so a crash can lose at most
+the record being written — never corrupt earlier ones).  On
 startup the index reloads the journal *and* rebuilds entries for any
 cached result the journal does not know about (e.g. runs produced by the
 CLI against the same cache directory, or a journal lost to a disk swap),
@@ -15,15 +15,14 @@ rather than duplicating it.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import re
-import threading
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Optional
 
+from repro.experiments.journal import JsonlLog
 from repro.faults import NULL_FAULTS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,95 +64,30 @@ def entry_from_result(
     }
 
 
-class ExperimentIndex:
+class ExperimentIndex(JsonlLog):
     """Thread-safe persistent index of completed experiments."""
 
     def __init__(self, path: "str | os.PathLike", faults=NULL_FAULTS):
-        self.path = Path(path)
-        self.faults = faults
-        self._lock = threading.Lock()
+        super().__init__(path, faults)
         #: config_hash -> latest entry; insertion order = first-seen order.
         self._entries: dict[str, dict] = {}
-        #: Journal lines that failed to parse on load (torn tail writes).
-        self.skipped_lines = 0
-        #: Appends that failed with an IO error (torn writes).  The
-        #: in-memory listing keeps the entry; the next append reopens the
-        #: journal and terminates the torn tail.
-        self.append_errors = 0
-        self._fh = None
-        self._load()
-
-    # ------------------------------------------------------------- journal
-    def _load(self) -> None:
-        if not self.path.is_file():
-            return
-        with self.path.open("r", encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except ValueError:
-                    self.skipped_lines += 1
-                    continue
-                if not isinstance(entry, dict) or not isinstance(
-                    entry.get("config_hash"), str
-                ):
-                    self.skipped_lines += 1
-                    continue
+        for entry in self.records():
+            if isinstance(entry.get("config_hash"), str):
                 self._entries[entry["config_hash"]] = entry
+            else:
+                self.skipped_lines += 1
 
-    def _journal(self):
-        """The append handle, opened lazily; a torn tail (crash mid-write,
-        no trailing newline) is terminated first so the next record starts
-        on its own line."""
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            needs_newline = False
-            if self.path.is_file() and self.path.stat().st_size > 0:
-                with self.path.open("rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    needs_newline = fh.read(1) != b"\n"
-            self._fh = self.path.open("a", encoding="utf-8")
-            if needs_newline:
-                self._fh.write("\n")
-        return self._fh
-
-    # -------------------------------------------------------------- access
     def record(self, entry: Mapping) -> None:
-        """Append one entry to the journal (flush + fsync) and the listing.
+        """Append one entry to the journal and the listing.
 
-        An append IO error (real ``ENOSPC``/``EIO`` or an injected
-        ``index.append`` tear) never loses the in-memory entry and never
-        propagates — the handle is dropped so the next append reopens the
-        journal and terminates the torn tail first.
+        A failed append (see :class:`~repro.experiments.journal.JsonlLog`)
+        is counted in ``append_errors`` and never loses the in-memory entry.
         """
         entry = dict(entry)
         if not isinstance(entry.get("config_hash"), str):
             raise ValueError("index entries need a string config_hash")
-        line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         with self._lock:
-            try:
-                fh = self._journal()
-                if (
-                    self.faults.enabled
-                    and self.faults.check("index.append") is not None
-                ):
-                    fh.write(line[: max(1, len(line) // 2)])
-                    fh.flush()
-                    raise OSError("injected torn index append")
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            except OSError:
-                self.append_errors += 1
-                if self._fh is not None:
-                    try:
-                        self._fh.close()
-                    except OSError:  # pragma: no cover - double-fault close
-                        pass
-                    self._fh = None
+            self.append(entry)
             self._entries[entry["config_hash"]] = entry
 
     def entries(self) -> list[dict]:
@@ -168,12 +102,6 @@ class ExperimentIndex:
     def __contains__(self, config_hash: str) -> bool:
         with self._lock:
             return config_hash in self._entries
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
 
     # ------------------------------------------------------------- rebuild
     def rebuild_from_cache(self, cache_dir: "str | os.PathLike") -> int:

@@ -8,8 +8,8 @@ campaign is already in the content-addressed cache — all that dies with
 the process is the submission bookkeeping.  This journal persists it:
 
 ``submitted``
-    one per accepted manifest (id, kind, manifest), fsynced before the
-    client sees its 202 — an id handed out is an id that survives.
+    one per accepted manifest (id, kind, manifest), durable on disk before
+    the client sees its 202 — an id handed out is an id that survives.
 ``finished``
     one per terminal transition (``done``/``failed``).
 
@@ -20,119 +20,61 @@ submission order.  Re-executing the in-flight campaign is safe because
 cells are cached exactly-once by config hash: journaled-done cells replay
 as cache hits, only the genuinely unfinished tail runs.
 
-Same crash-safety discipline as the experiment index: JSON lines, flush +
-fsync per record, torn tails skipped on load and terminated on reopen.
+Durability, torn tails and failed appends are
+:class:`~repro.experiments.journal.JsonlLog`'s.  This journal never takes
+a fault plan: the ``index.append`` site belongs to the index and the run
+journal.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import threading
-from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping
+
+from repro.experiments.journal import JsonlLog
 
 __all__ = ["ServiceJournal"]
 
 _ID_RE = re.compile(r"^c(\d{6,})$")
 
 
-class ServiceJournal:
+class ServiceJournal(JsonlLog):
     """Thread-safe append journal of campaign submissions and completions."""
 
     def __init__(self, path: "str | os.PathLike"):
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._fh = None
-        #: Unparseable lines skipped on load (torn tail writes).
-        self.skipped_lines = 0
+        super().__init__(path)
         #: Highest numeric campaign id seen in the journal — the queue
         #: seeds its sequence past it so resumed ids are never reissued.
         self.max_seq = 0
+        open_by_id: dict[str, dict] = {}
+        for rec in self.records():
+            cid = rec.get("id")
+            if not isinstance(cid, str):
+                self.skipped_lines += 1
+                continue
+            m = _ID_RE.match(cid)
+            if m:
+                self.max_seq = max(self.max_seq, int(m.group(1)))
+            event = rec.get("event")
+            if event == "submitted" and isinstance(rec.get("manifest"), dict):
+                open_by_id[cid] = {
+                    "id": cid,
+                    "kind": rec.get("kind") or "campaign",
+                    "manifest": rec["manifest"],
+                }
+            elif event == "finished":
+                open_by_id.pop(cid, None)
+            else:
+                self.skipped_lines += 1
         #: Submission-ordered ``{"id", "kind", "manifest"}`` for every
         #: campaign with no terminal record.
-        self.unfinished: list[dict] = []
-        self._load()
-
-    # ------------------------------------------------------------- loading
-    def _load(self) -> None:
-        if not self.path.is_file():
-            return
-        open_by_id: dict[str, dict] = {}
-        with self.path.open("r", encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except ValueError:
-                    self.skipped_lines += 1
-                    continue
-                if not isinstance(rec, dict) or not isinstance(rec.get("id"), str):
-                    self.skipped_lines += 1
-                    continue
-                cid = rec["id"]
-                m = _ID_RE.match(cid)
-                if m:
-                    self.max_seq = max(self.max_seq, int(m.group(1)))
-                event = rec.get("event")
-                if event == "submitted" and isinstance(rec.get("manifest"), dict):
-                    open_by_id[cid] = {
-                        "id": cid,
-                        "kind": rec.get("kind") or "campaign",
-                        "manifest": rec["manifest"],
-                    }
-                elif event == "finished":
-                    open_by_id.pop(cid, None)
-                else:
-                    self.skipped_lines += 1
-        self.unfinished = list(open_by_id.values())
-
-    # ------------------------------------------------------------- writing
-    def _handle(self):
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            needs_newline = False
-            if self.path.is_file() and self.path.stat().st_size > 0:
-                with self.path.open("rb") as fh:
-                    fh.seek(-1, os.SEEK_END)
-                    needs_newline = fh.read(1) != b"\n"
-            self._fh = self.path.open("a", encoding="utf-8")
-            if needs_newline:
-                self._fh.write("\n")
-        return self._fh
-
-    def _append(self, record: Mapping) -> None:
-        line = json.dumps(dict(record), sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            try:
-                fh = self._handle()
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            except OSError:
-                # Journal IO failure must never fail a submission the
-                # queue already accepted; the next append reopens and
-                # terminates any torn tail.
-                if self._fh is not None:
-                    try:
-                        self._fh.close()
-                    except OSError:  # pragma: no cover - double-fault close
-                        pass
-                    self._fh = None
+        self.unfinished: list[dict] = list(open_by_id.values())
 
     def submitted(self, cid: str, kind: str, manifest: Mapping) -> None:
-        self._append(
+        self.append(
             {"event": "submitted", "id": cid, "kind": kind, "manifest": dict(manifest)}
         )
 
     def finished(self, cid: str, status: str) -> None:
-        self._append({"event": "finished", "id": cid, "status": status})
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+        self.append({"event": "finished", "id": cid, "status": status})

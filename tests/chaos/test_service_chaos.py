@@ -1,6 +1,6 @@
 """Service stack under injected faults: dropped connections, slow
-responses, bounded-queue overload, torn index appends, and restart
-resume from the submission journal."""
+responses, bounded-queue overload, torn index appends, an unwritable
+submission journal, and restart resume from the submission journal."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import copy
 import http.client
 import json
 import time
+import urllib.request
 
 import pytest
 
@@ -99,6 +100,31 @@ class TestTornIndex:
         metrics = client.metrics()
         assert "repro_index_append_errors_total 1" in metrics
         assert "repro_faults_injected_total" in metrics
+
+
+class TestUnwritableJournal:
+    def test_failed_journal_appends_are_counted(self, make_service, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")  # the journal's parent directory is a file
+        server, client = make_service(
+            client_retries=1, journal_path=blocker / "service.jsonl"
+        )
+        request = urllib.request.Request(
+            client.base_url + "/campaigns",
+            data=json.dumps(tiny_manifest()).encode("utf-8"),
+            method="POST",
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=15.0) as response:
+            assert response.status == 202
+            record = json.loads(response.read())
+        assert client.wait(record["id"], timeout=60.0, poll=1.0)["status"] == "done"
+        # The worker journals `finished` just after the status turns done;
+        # joining it orders that append before the checks below.
+        server.state.queue.stop()
+        # Both the `submitted` and the `finished` append failed.
+        assert server.state.journal.append_errors == 2
+        assert "repro_journal_append_errors_total 2" in client.metrics()
 
 
 # --------------------------------------------------------------------------

