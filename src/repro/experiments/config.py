@@ -203,12 +203,17 @@ class ExperimentConfig:
             or self.metrics_interval <= 0
         ):
             raise ValueError("intervals must be positive")
+        # Late import: importing this module must not pull in NumPy.
+        from repro.workflow.generator import MAX_TASKS
+
         for name in ("task_range", "fanout_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} is inverted: ({lo}, {hi})")
             if lo < 1:
                 raise ValueError(f"{name} lower bound must be >= 1, got {lo}")
+            if hi > MAX_TASKS:
+                raise ValueError(f"{name} upper bound must be <= {MAX_TASKS}, got {hi}")
         for name in ("load_range", "image_range", "data_range"):
             lo, hi = getattr(self, name)
             if lo > hi:

@@ -110,6 +110,9 @@ class Topology:
 
     # ------------------------------------------------------------ internals
     def _adjacency(self) -> csr_matrix:
+        """Link latencies with both directions of every link stored, so
+        the Dijkstra searches run ``directed=True`` and relax each arc once
+        (an undirected search would add the transpose and relax it twice)."""
         e = self.graph.edges
         w = self.link_latency
         rows = np.concatenate([e[:, 0], e[:, 1]])
@@ -121,7 +124,7 @@ class Topology:
         n = self.n
         if n == 1 or self.graph.m == 0:
             return np.zeros((n, n))
-        return dijkstra(self._adjacency(), directed=False)
+        return dijkstra(self._adjacency(), directed=True)
 
     def _build_widest_forest(self) -> None:
         """Maximum-spanning forest of the link-bandwidth graph.
@@ -234,7 +237,7 @@ class Topology:
             self._lat_lm = np.zeros((n_lm, n))
             return
         self._lat_lm = dijkstra(
-            self._adjacency(), directed=False, indices=self._lat_landmarks
+            self._adjacency(), directed=True, indices=self._lat_landmarks
         )
 
     def _widest_pair(self, u: int, v: int) -> float:

@@ -1,15 +1,16 @@
-"""Stream-identical fast paths for NumPy ``Generator`` bounded draws.
+"""Stream-identical fast paths for NumPy ``Generator`` draws.
 
 The gossip substrate makes hundreds of thousands of tiny bounded draws per
 run — ``Generator.choice(n, size=k, replace=False)`` for peer sampling and
-push digests, ``Generator.integers(0, n)`` for pairings — and each call
-pays 1.5–8 µs of NumPy argument-parsing/array-allocation overhead that
+push digests, ``Generator.integers(0, n)`` for pairings — and the Table I
+workflow generator about a hundred scalar draws per workflow.  Each NumPy
+call pays 1.5–13 µs of argument-parsing/array-allocation overhead that
 dwarfs the actual bit generation.  :class:`FastSampler` removes that
 overhead while reproducing the *exact same* random stream, so every golden
 fingerprint replays bit-identically.
 
-How NumPy draws a bounded integer (PCG64 family, ranges < 2**32)
-----------------------------------------------------------------
+How NumPy draws (PCG64 family, bounded ranges < 2**32)
+------------------------------------------------------
 * The bit generator serves 32-bit words out of 64-bit raw draws, low half
   first, buffering the high half in its pickled state
   (``has_uint32``/``uinteger``).
@@ -21,15 +22,21 @@ How NumPy draws a bounded integer (PCG64 family, ranges < 2**32)
   followed by a backward Fisher–Yates shuffle of the ``k`` picks (``k - 1``
   more bounded draws).
 * ``integers(0, n)`` is a single bounded draw on ``[0, n - 1]``; a range of
-  zero consumes nothing.
+  zero consumes nothing.  ``integers(lo, hi)`` is ``lo + integers(0, hi -
+  lo)`` word for word.
+* ``shuffle(x)`` is a backward Fisher–Yates whose swap index comes from
+  ``random_interval`` instead: a 32-bit word masked to the smallest
+  all-ones mask covering the range, redrawn while above it.
+* A double (``random``, ``uniform``) consumes one full 64-bit raw word,
+  ``(raw >> 11) * 2**-53``, and leaves the uint32 buffer alone;
+  ``uniform(lo, hi)`` is ``lo + (hi - lo) * double``.
 
 :class:`FastSampler` replays those reductions in Python directly from
-``bit_generator.random_raw()`` (≈0.3 µs per 64-bit word), mirroring the
-uint32 buffer so the stream stays aligned with the wrapped ``Generator``.
-Consumers that still need real NumPy calls on the *same* stream (e.g.
-``Generator.shuffle`` of a large array, which is faster in C) go through
-:meth:`FastSampler.shuffle`, which pushes the mirrored buffer into the bit
-generator's state, delegates, and reads it back.
+``bit_generator.random_raw()`` (≈0.3 µs per 64-bit word, prefetched in
+blocks), mirroring the uint32 buffer so the stream stays aligned with the
+wrapped ``Generator``.  A caller that lends a ``Generator`` to a sampler
+and keeps drawing from it afterwards hands the stream back with
+:meth:`FastSampler.sync_to_numpy`.
 
 Every fast path is verified value- and state-exact against NumPy by
 ``tests/sim/test_fastrand.py``; on bit generators without the expected
@@ -39,11 +46,16 @@ plain ``Generator`` calls.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["FastSampler"]
 
 _M32 = 0xFFFFFFFF
+
+#: Scale of a 53-bit integer to a double in [0, 1) (NumPy's ``next_double``).
+_TWO_M53 = 1.0 / 9007199254740992.0
 
 #: Bit generators whose ``next_uint32`` is the buffered low-half-first
 #: split of ``next_uint64`` (the layout the emulation assumes).
@@ -52,17 +64,20 @@ _BUFFERED_U32_BITGENS = frozenset({"PCG64", "PCG64DXSM"})
 #: ``(n, k) -> (floyd rng_excl list, shuffle rng_excl list)`` — the bounded
 #: ranges of a choice-without-replacement call are a pure function of its
 #: shape, and gossip uses only a handful of shapes per run, so the range
-#: arithmetic is hoisted out of the draw loops entirely.
+#: arithmetic is hoisted out of the draw loops entirely.  The workflow
+#: generator's shapes vary with the workflow, so the memo stops growing at
+#: ``_MULT_CACHE_SHAPES`` entries.
 _MULT_CACHE: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+_MULT_CACHE_SHAPES = 1024
 
 
 class FastSampler:
     """Low-overhead, stream-identical bounded draws for one ``Generator``.
 
-    All consumers of the wrapped generator's *bounded-draw* stream must go
-    through this sampler (or through :meth:`shuffle`'s sync'd delegation):
-    mixing direct ``Generator`` calls in between would consume the bit
-    generator's internal uint32 buffer without the mirror noticing.
+    While a sampler is in use, every draw from the wrapped generator must
+    go through it: a direct ``Generator`` call in between would consume
+    the bit generator's internal uint32 buffer (and the prefetched words)
+    without the mirror noticing.  :meth:`sync_to_numpy` ends such a loan.
     """
 
     __slots__ = (
@@ -73,8 +88,8 @@ class FastSampler:
     #: 64-bit raw words fetched per refill; one vectorized ``random_raw``
     #: call costs ~2 µs for 64 words vs ~0.3 µs per scalar call, so the
     #: prefetch amortizes the NumPy call overhead ~10x.  Unconsumed words
-    #: are returned to the bit generator via ``advance(-n)`` when a sync
-    #: hands the stream back to NumPy.
+    #: are returned to the bit generator via ``advance(-n)`` when
+    #: :meth:`sync_to_numpy` hands the stream back.
     _PREFETCH = 64
 
     def __init__(self, generator: np.random.Generator):
@@ -291,7 +306,7 @@ class FastSampler:
             raws = np.concatenate([head, tail]) if avail else tail
             self._pre = []
             self._pi = 0
-        return (raws >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        return (raws >> np.uint64(11)) * _TWO_M53
 
     def choice_indices(self, n: int, k: int) -> list[int]:
         """``list(generator.choice(n, size=k, replace=False))`` as ints.
@@ -345,10 +360,9 @@ class FastSampler:
         mults = _MULT_CACHE.get((n, k))
         if mults is None:
             start = 1 if k == n else n - k
-            mults = _MULT_CACHE[(n, k)] = (
-                [j + 1 for j in range(start, n)],
-                list(range(k, 1, -1)),
-            )
+            mults = ([j + 1 for j in range(start, n)], list(range(k, 1, -1)))
+            if len(_MULT_CACHE) < _MULT_CACHE_SHAPES:
+                _MULT_CACHE[(n, k)] = mults
         floyd_mults, shuffle_mults = mults
         M = _M32
         cursor = 0
@@ -388,18 +402,49 @@ class FastSampler:
             pos -= 1
         return idx
 
-    def shuffle(self, array) -> None:
-        """``generator.shuffle(array)`` with the buffer mirror synced.
+    def uniform(self, lo: float, hi: float) -> float:
+        """``float(generator.uniform(lo, hi))`` — one double on ``[lo, hi)``.
 
-        Large-array shuffles are much faster in NumPy's C loop; this keeps
-        them there while the mirror stays stream-aligned.
+        One full 64-bit raw word, bypassing the uint32 buffer, combined in
+        NumPy's operation order: ``lo + (hi - lo) * ((raw >> 11) * 2**-53)``
+        with both bounds converted to float first.  As in NumPy 2, a
+        non-finite span raises :class:`OverflowError` and a negative one
+        :class:`ValueError`, both before drawing.
+        """
+        lo = float(lo)
+        span = float(hi) - lo
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if span < 0.0:
+            raise ValueError("high - low < 0")
+        if self.native:  # pragma: no cover - fallback
+            return float(self.generator.uniform(lo, hi))
+        pi = self._pi
+        if pi < len(self._pre):
+            self._pi = pi + 1
+            d = self._pre[pi]
+        else:
+            d = self._next_raw()
+        return lo + span * ((d >> 11) * _TWO_M53)
+
+    def shuffle(self, seq) -> None:
+        """``generator.shuffle(seq)`` for a list or a 1-D array, in place.
+
+        NumPy's Fisher–Yates: for ``i`` from ``len(seq) - 1`` down to 1,
+        swap ``seq[i]`` and ``seq[j]`` with ``j`` drawn by
+        ``random_interval(i)`` — masked rejection on the buffered 32-bit
+        stream, not the Lemire reduction of the bounded draws.
         """
         if self.native:  # pragma: no cover - fallback
-            self.generator.shuffle(array)
+            self.generator.shuffle(seq)
             return
-        self.sync_to_numpy()
-        self.generator.shuffle(array)
-        self.sync_from_numpy()
+        u32 = self._u32
+        for i in range(len(seq) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = u32() & mask
+            while j > i:
+                j = u32() & mask
+            seq[i], seq[j] = seq[j], seq[i]
 
     # ------------------------------------------------------------- interop
     def sync_to_numpy(self) -> None:
@@ -418,15 +463,3 @@ class FastSampler:
         state["has_uint32"] = int(self._has)
         state["uinteger"] = int(self._buf)
         self._bg.state = state
-
-    def sync_from_numpy(self) -> None:
-        """Re-read the buffer after direct ``Generator`` calls (the
-        prefetch is empty at this point: :meth:`sync_to_numpy` must have
-        run before the NumPy calls)."""
-        if self.native:  # pragma: no cover - fallback
-            return
-        self._pre = []
-        self._pi = 0
-        state = self._bg.state
-        self._has = bool(state["has_uint32"])
-        self._buf = int(state["uinteger"])

@@ -13,6 +13,12 @@ The random generator builds a layered random DAG:
 3. guarantee every non-entry task has a precedent, then normalize to a
    unique entry/exit with virtual tasks where needed.
 
+Every draw goes through one :class:`~repro.sim.fastrand.FastSampler`, the
+stream-exact emulation of NumPy's own draws, on plain Python lists: the
+workflows and the caller's generator state afterwards are bit-identical to
+making the same ``Generator.integers``/``uniform``/``shuffle``/``choice``
+calls directly, at a fraction of their per-call overhead.
+
 Structured families (chain, fork-join, diamond, montage-like) are provided
 for the examples and for tests whose critical paths are known analytically.
 """
@@ -23,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sim.fastrand import FastSampler
 from repro.workflow.dag import Workflow
 from repro.workflow.task import Task
 
 __all__ = [
+    "MAX_TASKS",
     "WorkflowParams",
     "random_workflow",
     "chain_workflow",
@@ -34,6 +42,11 @@ __all__ = [
     "diamond_workflow",
     "montage_like_workflow",
 ]
+
+#: Largest task count or fan-out a random workflow may ask for: 33x Table
+#: I's 30 tasks.  It keeps one workflow's generation well under a second
+#: and every bounded draw inside the 32-bit ranges ``FastSampler`` emulates.
+MAX_TASKS = 1000
 
 
 @dataclass(frozen=True)
@@ -60,21 +73,39 @@ class WorkflowParams:
             raise ValueError("workflows need at least one task")
         if self.fanout_range[0] < 1:
             raise ValueError("fan-out must be at least one")
+        for name in ("task_range", "fanout_range"):
+            hi = getattr(self, name)[1]
+            if hi > MAX_TASKS:
+                raise ValueError(f"{name}: upper bound {hi} exceeds {MAX_TASKS}")
 
 
 def random_workflow(
     wid: str, rng: np.random.Generator, params: WorkflowParams | None = None
 ) -> Workflow:
-    """Generate one random workflow per the paper's §IV.A description."""
-    p = params or WorkflowParams()
-    n = int(rng.integers(p.task_range[0], p.task_range[1] + 1))
+    """Generate one random workflow per the paper's §IV.A description.
 
+    The draws come from ``rng`` through a :class:`FastSampler` that hands
+    the stream back when this returns or raises, so callers keep drawing
+    from ``rng``.
+    """
+    fast = FastSampler(rng)
+    try:
+        return _layered_workflow(wid, fast, params or WorkflowParams())
+    finally:
+        fast.sync_to_numpy()
+
+
+def _layered_workflow(wid: str, fast: FastSampler, p: WorkflowParams) -> Workflow:
+    """The layered DAG of the module docstring, every draw from ``fast``."""
+    integers = fast.integers
+    uniform = fast.uniform
+    t_lo, t_hi = p.task_range
+    n = t_lo + integers(t_hi + 1 - t_lo)
+
+    load_lo, load_hi = p.load_range
+    img_lo, img_hi = p.image_range
     tasks = [
-        Task(
-            tid=i,
-            load=float(rng.uniform(*p.load_range)),
-            image_size=float(rng.uniform(*p.image_range)),
-        )
+        Task(tid=i, load=uniform(load_lo, load_hi), image_size=uniform(img_lo, img_hi))
         for i in range(n)
     ]
 
@@ -83,57 +114,49 @@ def random_workflow(
         # Layered structure: split the topological order into layers of
         # random width (bounded by the max fan-out) so the DAG has realistic
         # parallelism and connectivity stays achievable within the fan-out
-        # budget.
-        max_fanout = p.fanout_range[1]
-        layer_of = np.zeros(n, dtype=np.int64)
-        layer = 0
+        # budget.  Layer k holds tasks starts[k] .. starts[k + 1] - 1.
+        f_lo, f_hi = p.fanout_range
+        starts = [0, 1]
         i = 1
         while i < n:
-            width = int(rng.integers(1, min(max_fanout, n - i) + 1))
-            layer += 1
-            layer_of[i : i + width] = layer
-            i += width
-        n_layers = layer + 1
-        layers = [np.flatnonzero(layer_of == k) for k in range(n_layers)]
+            i += 1 + integers(min(f_hi, n - i))
+            starts.append(i)
+        n_layers = len(starts) - 1
 
-        outdeg = np.zeros(n, dtype=np.int64)
-        target_fanout = rng.integers(
-            p.fanout_range[0], p.fanout_range[1] + 1, size=n
-        )
+        target_fanout = [f_lo + integers(f_hi + 1 - f_lo) for _ in range(n)]
+        d_lo, d_hi = p.data_range
 
         # Step 1 — connectivity: every task in layer k gets one parent from
         # layer k-1, distributed round-robin so no parent exceeds the
-        # fan-out bound (layer widths are <= max_fanout).
+        # fan-out bound (layer widths are <= the max fan-out).
+        kids: list[list[int]] = [[] for _ in range(n)]  # step-1 children
         for k in range(1, n_layers):
-            parents = layers[k - 1].copy()
-            rng.shuffle(parents)
-            children = layers[k].copy()
-            rng.shuffle(children)
+            parents = list(range(starts[k - 1], starts[k]))
+            fast.shuffle(parents)
+            children = list(range(starts[k], starts[k + 1]))
+            fast.shuffle(children)
+            width = len(parents)
             for idx, v in enumerate(children):
-                u = int(parents[idx % len(parents)])
-                edges[(u, int(v))] = float(rng.uniform(*p.data_range))
-                outdeg[u] += 1
+                u = parents[idx % width]
+                edges[(u, v)] = uniform(d_lo, d_hi)
+                kids[u].append(v)
 
         # Step 2 — extra dependencies up to each task's sampled fan-out,
-        # biased to the immediately following layer.
-        for u in range(n):
-            lu = int(layer_of[u])
-            if lu == n_layers - 1:
-                continue
-            budget = int(target_fanout[u] - outdeg[u])
-            if budget <= 0:
-                continue
-            later = np.flatnonzero(layer_of > lu)
-            candidates = [int(v) for v in later if (u, int(v)) not in edges]
-            if not candidates:
-                continue
-            nxt = [v for v in candidates if layer_of[v] == lu + 1]
-            pool = nxt if nxt else candidates
-            take = min(budget, len(pool))
-            chosen = rng.choice(np.asarray(pool), size=take, replace=False)
-            for v in chosen:
-                edges[(u, int(v))] = float(rng.uniform(*p.data_range))
-                outdeg[u] += 1
+        # biased to the immediately following layer.  A task's only edges so
+        # far are its step-1 children, all in the next layer.
+        for k in range(n_layers - 1):
+            nxt, after_next = starts[k + 1], starts[k + 2]
+            for u in range(starts[k], nxt):
+                mine = kids[u]
+                budget = target_fanout[u] - len(mine)
+                if budget <= 0:
+                    continue
+                pool = [v for v in range(nxt, after_next) if v not in mine]
+                pool = pool or list(range(after_next, n))
+                if not pool:
+                    continue
+                for t in fast.choice_indices(len(pool), min(budget, len(pool))):
+                    edges[(u, pool[t])] = uniform(d_lo, d_hi)
 
     return Workflow(wid, tasks, edges).normalized()
 

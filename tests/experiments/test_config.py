@@ -71,6 +71,8 @@ def test_defaults_match_table1():
         ("burst_on", 0.0),
         ("burst_off", -1.0),
         ("diurnal_period", 0.0),
+        ("task_range", (2, 10**9)),   # above MAX_TASKS
+        ("fanout_range", (1, 1001)),  # above MAX_TASKS
     ],
 )
 def test_invalid_values_rejected(field, value):
@@ -82,6 +84,7 @@ def test_invalid_values_rejected(field, value):
     "field,value,fragment",
     [
         ("task_range", (5, 2), "inverted"),
+        ("task_range", (2, 1001), "upper bound must be <= 1000"),
         ("rss_mode", "psychic", "rss_mode"),
         ("algorithm", "bogus", "available:"),
         ("workload_source", "x", "available:"),

@@ -90,3 +90,23 @@ def test_waxman_factory_deterministic():
     b = Topology.waxman(20, spawn_generator(5, "t"))
     assert np.allclose(a._bandwidth, b._bandwidth)
     assert np.allclose(a._latency, b._latency)
+
+
+@pytest.mark.parametrize("n", [60, 240])
+def test_all_pairs_latency_equals_undirected_search(n):
+    """The adjacency stores both directions of every link, so the directed
+    search gives the undirected one's matrix, bit for bit."""
+    from scipy.sparse.csgraph import dijkstra
+
+    top = Topology.waxman(n, spawn_generator(7, "t"))
+    undirected = dijkstra(top._adjacency(), directed=False)
+    assert np.array_equal(top._latency.view(np.int64), undirected.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [300, 1200])
+def test_landmark_latency_rows_equal_undirected_search(n):
+    from scipy.sparse.csgraph import dijkstra
+
+    top = Topology.waxman(n, spawn_generator(7, "t"), exact_paths=False)
+    undirected = dijkstra(top._adjacency(), directed=False, indices=top._lat_landmarks)
+    assert np.array_equal(top._lat_lm.view(np.int64), undirected.view(np.int64))

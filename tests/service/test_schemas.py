@@ -147,6 +147,19 @@ def test_manifest_specs_bad_override_value():
     assert err.code == "invalid-overrides"
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"task_range": [2, 1_000_000_000]}, {"fanout_range": [1, 10**12]}],
+)
+def test_manifest_specs_rejects_oversized_workflows(overrides):
+    """The single service worker would otherwise try to generate workflows
+    of up to a billion tasks."""
+    err = _error(manifest_specs, {"overrides": overrides})
+    assert err.code == "invalid-overrides"
+    assert err.field == "overrides"
+    assert "upper bound must be <= 1000" in err.message
+
+
 def test_manifest_error_to_dict():
     err = _error(manifest_specs, {"scenario": "nope"})
     body = err.to_dict()

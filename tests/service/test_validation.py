@@ -65,6 +65,15 @@ def test_bad_override_type_is_400(service):
     _expect_error(client, {"overrides": {"n_nodes": "lots"}}, 400, "invalid-overrides")
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"task_range": [2, 1_000_000_000]}, {"fanout_range": [1, 10**12]}],
+)
+def test_oversized_workflow_ranges_are_400(service, overrides):
+    _, client = service
+    _expect_error(client, {"overrides": overrides}, 400, "invalid-overrides")
+
+
 def test_oversized_seed_list_is_400(service):
     _, client = service
     _expect_error(
@@ -124,6 +133,7 @@ def test_worker_survives_a_barrage_of_bad_manifests(service, tiny_manifest):
         {"algorithms": ["bogus"]},
         {"seeds": list(range(MAX_SEEDS + 1))},
         {"overrides": {"n_nodes": "lots"}},
+        {"overrides": {"task_range": [2, 1_000_000_000]}},
         {"unknown_field": 1},
     ]
     for manifest in bad_manifests:

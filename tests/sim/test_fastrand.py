@@ -17,6 +17,13 @@ import pytest
 from repro.sim.fastrand import FastSampler
 from repro.sim.rng import spawn_generator
 
+UNIFORM_BOUNDS = [
+    (0.0, 1.0), (100.0, 10_000.0), (10.0, 100.0), (-5.5, 3.25),
+    (7.0, 7.0),  # lo == hi: a word is still consumed, the value is lo
+    (10, 1000),  # int bounds convert to float first
+    (-1e300, 1e300),
+]
+
 SHAPES = [
     (16, 8), (12, 6), (16, 4), (5, 4), (20, 1), (7, 7), (33, 16),
     (3, 2), (2, 1), (9, 8), (17, 5), (100, 7), (2, 2), (64, 33), (1, 1),
@@ -190,13 +197,13 @@ def test_interleaved_batch_and_scalar_draws_with_rewind(seed):
             fast.shuffle(b)
             assert list(a) == list(b)
         else:
-            # An explicit sync round-trip mid-stream: rewinds the prefetch
-            # via bit_generator.advance(-unconsumed), pushes the buffer
-            # mirror, and reads it back — the exact path every delegated
-            # NumPy call takes, here interleaved at a random stream offset.
+            # An explicit hand-back mid-stream: rewinds the prefetch via
+            # bit_generator.advance(-unconsumed) and pushes the buffer
+            # mirror; a direct NumPy draw follows, then a fresh sampler
+            # takes the stream over again (the workflow generator's loan).
             fast.sync_to_numpy()
             assert int(fast.generator.integers(0, n)) == int(ref.integers(0, n))
-            fast.sync_from_numpy()
+            fast = FastSampler(fast.generator)
     # final stream position identical
     assert fast.integers(10**6) == int(ref.integers(0, 10**6))
 
@@ -215,3 +222,104 @@ def test_rejection_path_is_exact():
     assert fast.choice_indices(9, 4) == [
         int(x) for x in ref.choice(9, size=4, replace=False)
     ]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_uniform_matches_numpy(seed):
+    ref, fast = _pair(seed)
+    for lo, hi in UNIFORM_BOUNDS * 3:
+        got = fast.uniform(lo, hi)
+        assert type(got) is float
+        assert got.hex() == float(ref.uniform(lo, hi)).hex(), (lo, hi)
+    assert fast.integers(10**6) == int(ref.integers(0, 10**6))
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, float("inf")), (0.0, float("nan"))])
+def test_uniform_non_finite_span_raises_and_consumes_nothing(lo, hi):
+    ref, fast = _pair(8)
+    assert fast.integers(9) == int(ref.integers(0, 9))  # mid half-word
+    with pytest.raises(OverflowError):
+        ref.uniform(lo, hi)
+    with pytest.raises(OverflowError):
+        fast.uniform(lo, hi)
+    assert fast.uniform(0.0, 1.0) == float(ref.uniform(0.0, 1.0))
+    assert fast.integers(9) == int(ref.integers(0, 9))
+
+
+def test_uniform_inverted_range_raises_and_consumes_nothing():
+    ref, fast = _pair(8)
+    with pytest.raises(ValueError, match="high - low < 0"):
+        fast.uniform(3.0, -2.0)
+    assert fast.uniform(-2.0, 3.0) == float(ref.uniform(-2.0, 3.0))
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_uniform_interleaved_with_buffered_and_batch_draws(seed):
+    """Full-word doubles between half-word bounded draws and vector
+    batches: the uint32 buffer and the prefetch stay aligned with NumPy."""
+    ref, fast = _pair(seed)
+    rnd = np.random.default_rng(seed + 777)  # independent driver
+    for _ in range(300):
+        op = int(rnd.integers(0, 5))
+        n = int(rnd.integers(2, 50))
+        if op == 0:
+            lo, hi = UNIFORM_BOUNDS[n % len(UNIFORM_BOUNDS)]
+            assert fast.uniform(lo, hi) == float(ref.uniform(lo, hi))
+        elif op == 1:
+            assert fast.integers(n) == int(ref.integers(0, n))
+        elif op == 2:
+            assert fast.random_batch(n).tolist() == ref.random(n).tolist()
+        elif op == 3:
+            expected = [int(ref.integers(0, n)) for _ in range(n)]
+            assert fast.integers_batch(n, n).tolist() == expected
+        else:
+            k = int(rnd.integers(1, n + 1))
+            assert fast.choice_indices(n, k) == [
+                int(x) for x in ref.choice(n, size=k, replace=False)
+            ]
+    fast.sync_to_numpy()
+    assert fast.generator.bit_generator.state["state"] == ref.bit_generator.state["state"]
+    assert fast.integers(10**6) == int(ref.integers(0, 10**6))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_shuffle_is_numpys_fisher_yates(seed):
+    """Lists and 1-D arrays of every length 0-40, back to back."""
+    ref, fast = _pair(seed)
+    for n in range(41):
+        a, b = list(range(n)), list(range(n))
+        ref.shuffle(a)
+        fast.shuffle(b)
+        assert a == b, n
+        x, y = np.arange(n) * 3, np.arange(n) * 3
+        ref.shuffle(x)
+        fast.shuffle(y)
+        assert x.tolist() == y.tolist(), n
+    assert fast.integers(10**6) == int(ref.integers(0, 10**6))
+
+
+def test_shuffle_makes_no_generator_call():
+    ref, fast = _pair(21)
+    fast.generator = None  # any delegation to NumPy would now fail
+    for n in (2, 5, 17, 40):
+        a, b = list(range(n)), list(range(n))
+        ref.shuffle(a)
+        fast.shuffle(b)
+        assert a == b
+
+
+def test_choice_shape_memo_is_bounded(monkeypatch):
+    """Workflow generation meets a new (n, k) shape per pool size and
+    fan-out; past the memo's cap the ranges are computed per call, and the
+    draws stay exact."""
+    import repro.sim.fastrand as fastrand
+
+    monkeypatch.setattr(fastrand, "_MULT_CACHE", {})
+    monkeypatch.setattr(fastrand, "_MULT_CACHE_SHAPES", 8)
+    ref, fast = _pair(17)
+    for n in range(2, 40):
+        for k in (2, n // 2 + 1, n):
+            assert fast.choice_indices(n, k) == [
+                int(x) for x in ref.choice(n, size=k, replace=False)
+            ], (n, k)
+    assert len(fastrand._MULT_CACHE) == 8

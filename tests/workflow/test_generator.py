@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.rng import spawn_generator
+from repro.workflow.dag import Workflow
 from repro.workflow.generator import (
+    MAX_TASKS,
     WorkflowParams,
     chain_workflow,
     diamond_workflow,
@@ -15,6 +18,117 @@ from repro.workflow.generator import (
     montage_like_workflow,
     random_workflow,
 )
+from repro.workflow.task import Task
+
+
+def numpy_random_workflow(
+    wid: str, rng: np.random.Generator, params: WorkflowParams | None = None
+) -> Workflow:
+    """The generator as it was before it drew through ``FastSampler``:
+    every draw a direct ``Generator`` call, kept verbatim as the oracle
+    the stream-exact generator must reproduce."""
+    p = params or WorkflowParams()
+    n = int(rng.integers(p.task_range[0], p.task_range[1] + 1))
+
+    tasks = [
+        Task(
+            tid=i,
+            load=float(rng.uniform(*p.load_range)),
+            image_size=float(rng.uniform(*p.image_range)),
+        )
+        for i in range(n)
+    ]
+
+    edges: dict[tuple[int, int], float] = {}
+    if n >= 2:
+        # Layered structure: split the topological order into layers of
+        # random width (bounded by the max fan-out) so the DAG has realistic
+        # parallelism and connectivity stays achievable within the fan-out
+        # budget.
+        max_fanout = p.fanout_range[1]
+        layer_of = np.zeros(n, dtype=np.int64)
+        layer = 0
+        i = 1
+        while i < n:
+            width = int(rng.integers(1, min(max_fanout, n - i) + 1))
+            layer += 1
+            layer_of[i : i + width] = layer
+            i += width
+        n_layers = layer + 1
+        layers = [np.flatnonzero(layer_of == k) for k in range(n_layers)]
+
+        outdeg = np.zeros(n, dtype=np.int64)
+        target_fanout = rng.integers(
+            p.fanout_range[0], p.fanout_range[1] + 1, size=n
+        )
+
+        # Step 1 — connectivity: every task in layer k gets one parent from
+        # layer k-1, distributed round-robin so no parent exceeds the
+        # fan-out bound (layer widths are <= max_fanout).
+        for k in range(1, n_layers):
+            parents = layers[k - 1].copy()
+            rng.shuffle(parents)
+            children = layers[k].copy()
+            rng.shuffle(children)
+            for idx, v in enumerate(children):
+                u = int(parents[idx % len(parents)])
+                edges[(u, int(v))] = float(rng.uniform(*p.data_range))
+                outdeg[u] += 1
+
+        # Step 2 — extra dependencies up to each task's sampled fan-out,
+        # biased to the immediately following layer.
+        for u in range(n):
+            lu = int(layer_of[u])
+            if lu == n_layers - 1:
+                continue
+            budget = int(target_fanout[u] - outdeg[u])
+            if budget <= 0:
+                continue
+            later = np.flatnonzero(layer_of > lu)
+            candidates = [int(v) for v in later if (u, int(v)) not in edges]
+            if not candidates:
+                continue
+            nxt = [v for v in candidates if layer_of[v] == lu + 1]
+            pool = nxt if nxt else candidates
+            take = min(budget, len(pool))
+            chosen = rng.choice(np.asarray(pool), size=take, replace=False)
+            for v in chosen:
+                edges[(u, int(v))] = float(rng.uniform(*p.data_range))
+                outdeg[u] += 1
+
+    return Workflow(wid, tasks, edges).normalized()
+
+
+def _fingerprint(wf: Workflow):
+    """Everything a workflow is: tasks (loads and images as exact float
+    bits), edges in insertion order, and the topological order."""
+    return (
+        [
+            (t.tid, t.load.hex(), t.image_size.hex(), t.virtual, t.name)
+            for t in wf.tasks.values()
+        ],
+        [(u, v, d.hex()) for (u, v), d in wf.edges.items()],
+        list(wf.topo_order),
+    )
+
+
+def _stream_state(rng: np.random.Generator) -> dict:
+    """The bit generator's state; a buffered half-word only while it is
+    live (a stale ``uinteger`` behind ``has_uint32 == 0`` is not state)."""
+    state = rng.bit_generator.state
+    if "has_uint32" in state and not state["has_uint32"]:
+        state["uinteger"] = None
+    if "key" in state.get("state", {}):  # MT19937
+        state["state"] = {k: np.asarray(v).tolist() for k, v in state["state"].items()}
+    return state
+
+
+ORACLE_SHAPES = {
+    "table1": WorkflowParams(),
+    "tiny": WorkflowParams(task_range=(1, 3)),
+    "wide": WorkflowParams(task_range=(2, 60), fanout_range=(2, 7)),
+    "fixed": WorkflowParams(task_range=(30, 30), fanout_range=(5, 5)),
+}
 
 
 class TestRandomWorkflow:
@@ -81,6 +195,23 @@ class TestRandomWorkflow:
         with pytest.raises(ValueError):
             WorkflowParams(fanout_range=(0, 3))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"task_range": (2, 1_000_000_000)},
+            {"fanout_range": (1, 10**12)},
+            {"task_range": (2, MAX_TASKS + 1)},
+        ],
+    )
+    def test_oversized_ranges_rejected(self, bad):
+        with pytest.raises(ValueError, match="exceeds"):
+            WorkflowParams(**bad)
+
+    def test_largest_allowed_workflow_generates(self):
+        p = WorkflowParams(task_range=(MAX_TASKS, MAX_TASKS), fanout_range=(1, MAX_TASKS))
+        wf = random_workflow("w", spawn_generator(4, "g"), p)
+        assert sum(not t.virtual for t in wf.tasks.values()) == MAX_TASKS
+
     @given(seed=st.integers(0, 2**20))
     @settings(max_examples=40, deadline=None)
     def test_property_generated_dags_valid(self, seed):
@@ -90,6 +221,71 @@ class TestRandomWorkflow:
         for u, v in wf.edges:
             assert pos[u] < pos[v]
         assert len(wf.entry_ids) == 1 and len(wf.exit_ids) == 1
+
+
+class TestNumpyOracle:
+    """The stream-exact generator against the direct-NumPy original."""
+
+    @pytest.mark.parametrize("shape", sorted(ORACLE_SHAPES))
+    def test_identical_to_numpy_generator(self, shape):
+        params = ORACLE_SHAPES[shape]
+        for seed in range(200):
+            ref = np.random.default_rng([seed, 14])
+            new = np.random.default_rng([seed, 14])
+            for k in range(2):
+                expected = numpy_random_workflow(f"w{k}", ref, params)
+                got = random_workflow(f"w{k}", new, params)
+                assert _fingerprint(got) == _fingerprint(expected), (seed, k)
+                assert _stream_state(new) == _stream_state(ref), (seed, k)
+                # The caller keeps drawing from its generator afterwards:
+                # one half-word (flips the uint32 buffer) and one double.
+                assert int(new.integers(0, 7)) == int(ref.integers(0, 7))
+                assert float(new.random()) == float(ref.random())
+
+    def test_mt19937_fallback_is_identical(self):
+        """A bit generator without the buffered-uint32 layout takes the
+        sampler's plain-``Generator`` fallback; the output must not move."""
+        for shape, params in sorted(ORACLE_SHAPES.items()):
+            for seed in range(10):
+                ref = np.random.Generator(np.random.MT19937(seed))
+                new = np.random.Generator(np.random.MT19937(seed))
+                for k in range(2):
+                    expected = numpy_random_workflow(f"w{k}", ref, params)
+                    got = random_workflow(f"w{k}", new, params)
+                    assert _fingerprint(got) == _fingerprint(expected), (shape, seed)
+                    assert _stream_state(new) == _stream_state(ref), (shape, seed)
+
+    def test_draws_only_through_the_bit_generator(self):
+        """No ``Generator`` method is called: a stand-in exposing nothing
+        but ``bit_generator`` produces the same workflow."""
+
+        class BitGeneratorOnly:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+
+        for seed in range(20):
+            ref = np.random.default_rng(seed)
+            new = np.random.default_rng(seed)
+            got = random_workflow("w", BitGeneratorOnly(new))
+            assert _fingerprint(got) == _fingerprint(numpy_random_workflow("w", ref))
+            assert _stream_state(new) == _stream_state(ref)
+
+    def test_failure_after_the_draws_still_hands_the_stream_back(self, monkeypatch):
+        """An error after the draws leaves ``rng`` where they stopped, not
+        ahead of it by the sampler's prefetched words."""
+        import repro.workflow.generator as generator
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        ref = np.random.default_rng(3)
+        new = np.random.default_rng(3)
+        numpy_random_workflow("w", ref)
+        monkeypatch.setattr(generator, "Workflow", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            random_workflow("w", new)
+        assert _stream_state(new) == _stream_state(ref)
+        assert int(new.integers(0, 1000)) == int(ref.integers(0, 1000))
 
 
 class TestFamilies:
