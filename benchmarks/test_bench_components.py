@@ -3,7 +3,7 @@
 These are true repeated-measurement benchmarks (pytest-benchmark defaults)
 for the hot paths identified while profiling, per the hpc-parallel guides:
 the event loop, the vectorized FT evaluation, the RPM backward pass, the
-all-pairs bottleneck computation, gossip cycles and the full-ahead planner.
+widest-path bandwidth sweep, gossip cycles and the full-ahead planner.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.grid.state import WorkflowExecution
 from repro.gossip.aggregation import AggregationGossip
 from repro.gossip.epidemic import EpidemicGossip
 from repro.gossip.newscast import NewscastOverlay
-from repro.net.bottleneck import all_pairs_bottleneck
+from repro.net.topology import widest_paths
 from repro.net.waxman import generate_waxman
 from repro.sim.engine import Simulator
 from repro.sim.rng import spawn_generator
@@ -70,10 +70,10 @@ def test_bench_rpm_backward_pass(benchmark):
 
 
 def test_bench_bottleneck_matrix(benchmark):
-    """All-pairs widest-path over a 300-node Waxman graph."""
+    """All-pairs widest-path matrix over a 300-node Waxman graph."""
     g = generate_waxman(300, spawn_generator(4, "bench"))
     widths = spawn_generator(5, "bench").uniform(0.1, 10.0, size=g.m)
-    mat = benchmark(lambda: all_pairs_bottleneck(g.n, g.edges, widths))
+    mat = benchmark(lambda: widest_paths(g.n, g.edges, widths, matrix=True).matrix)
     assert mat.shape == (300, 300)
 
 

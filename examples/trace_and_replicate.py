@@ -3,9 +3,10 @@
 
 Two library extensions beyond the paper:
 
-1. **Tracing** — attach a :class:`repro.trace.TraceRecorder` to a system to
-   capture every dispatch/start/finish event, then render a per-node ASCII
-   Gantt chart and a waiting-time breakdown.  This is how you *see* what a
+1. **Tracing** — pass a :class:`repro.obs.TraceRecorder` to a system
+   (``P2PGridSystem(config, recorder=rec)``) to capture every
+   dispatch/start/finish event, then render a per-node ASCII Gantt chart
+   and a waiting-time breakdown.  This is how you *see* what a
    scheduling policy actually did.
 2. **Replication** — rerun the same configuration under several seeds and
    report mean ± confidence interval, so algorithm comparisons are not
@@ -18,7 +19,7 @@ Run with ``python examples/trace_and_replicate.py``.
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import run_replications
 from repro.grid.system import P2PGridSystem
-from repro.trace import TraceRecorder, gantt_ascii, node_utilization, waiting_time_breakdown
+from repro.obs import TraceRecorder, gantt_ascii, node_utilization, waiting_time_breakdown
 from repro.workflow.generator import chain_workflow, fork_join_workflow
 
 
@@ -33,9 +34,8 @@ def trace_demo() -> None:
         algorithm="dsmf", n_nodes=8, load_factor=1,
         total_time=8 * 3600.0, seed=3,
     )
-    system = P2PGridSystem(cfg, workflows=workflows)
-    recorder = TraceRecorder().attach(system)
-    system.run()
+    recorder = TraceRecorder()
+    P2PGridSystem(cfg, workflows=workflows, recorder=recorder).run()
 
     print(gantt_ascii(recorder, width=64))
     print()

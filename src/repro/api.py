@@ -67,16 +67,13 @@ def available_recovery_policies() -> list[str]:
 def run_experiment(config: "ExperimentConfig", recorder=None) -> "RunResult":
     """Build a P2P grid system from ``config``, run it, return the metrics.
 
-    ``recorder`` optionally attaches a
-    :class:`~repro.trace.recorder.TraceRecorder` before the run (for
-    Perfetto traces via :mod:`repro.obs.spans`).
+    ``recorder`` is an optional :class:`~repro.obs.recorder.TraceRecorder`
+    the system reports its execution events to (for Perfetto traces via
+    :mod:`repro.obs.spans`).
     """
     from repro.grid.system import P2PGridSystem
 
-    system = P2PGridSystem(config)
-    if recorder is not None:
-        recorder.attach(system)
-    return system.run()
+    return P2PGridSystem(config, recorder=recorder).run()
 
 
 def quick_run(

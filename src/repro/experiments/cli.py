@@ -370,7 +370,7 @@ def _cmd_run(args) -> int:
         kw["telemetry"] = True
     recorder = None
     if args.trace_out:
-        from repro.trace.recorder import TraceRecorder
+        from repro.obs.recorder import TraceRecorder
 
         recorder = TraceRecorder()
     try:

@@ -68,7 +68,12 @@ class P2PGridSystem:
     """One simulated P2P grid run."""
 
     def __init__(
-        self, config: ExperimentConfig, workflows=None, submissions=None, telemetry=None
+        self,
+        config: ExperimentConfig,
+        workflows=None,
+        submissions=None,
+        telemetry=None,
+        recorder=None,
     ):
         """Build the full system.
 
@@ -93,9 +98,15 @@ class P2PGridSystem:
             backend.  Telemetry only observes — it never draws randomness
             or feeds decisions, so enabling it leaves results
             bit-identical.
+        recorder:
+            Optional :class:`~repro.obs.recorder.TraceRecorder`.  The
+            system and its transfer manager report every execution event
+            to it from explicit hook sites; like telemetry it only
+            observes, so a traced run's results are bit-identical.
         """
         self.config = config
         self.sim = Simulator()
+        self.recorder = recorder
         self.telemetry = telemetry if telemetry is not None else make_telemetry(
             getattr(config, "telemetry", False)
         )
@@ -217,7 +228,8 @@ class P2PGridSystem:
 
         # ------------------------------------------------------ runtime state
         self.transfers = TransferManager(
-            self.sim, self.topology, contention=config.transfer_contention
+            self.sim, self.topology, contention=config.transfer_contention,
+            recorder=recorder,
         )
         self.dispatch_index: dict[tuple[str, int], TaskDispatch] = {}
         self._seq = 0
@@ -397,9 +409,15 @@ class P2PGridSystem:
     # --------------------------------------------------------- periodic ticks
     def _gossip_cycle(self, cycle: int) -> None:
         now = self.sim.now
+        sent = self.epidemic.messages_sent
         self.overlay.run_cycle(now)
         self.epidemic.run_cycle(now)
         self.aggregation.run_cycle(now)
+        if self.recorder is not None:
+            self.recorder.add(
+                now, "gossip_round", -1, tid=cycle,
+                size=float(self.epidemic.messages_sent - sent),
+            )
 
     def _phase1_cycle(self, cycle: int) -> None:
         self.phase1.run_cycle()
@@ -524,6 +542,8 @@ class P2PGridSystem:
         self.dispatch_index[dispatch.key()] = dispatch
         target.enqueue(dispatch)
         self._start_input_transfers(dispatch, inputs)
+        if self.recorder is not None:
+            self.recorder.add(self.sim.now, "dispatch", target.nid, wx.wf.wid, tid)
         return True
 
     def _next_seq(self) -> int:
@@ -588,6 +608,8 @@ class P2PGridSystem:
         node.completion_event = self.sim.schedule(
             et, lambda n=node: self._on_cpu_complete(n), label="exec"
         )
+        if self.recorder is not None:
+            self.recorder.add(self.sim.now, "start", node.nid, dispatch.wid, dispatch.tid)
 
     def _on_cpu_complete(self, node: PeerNode) -> None:
         dispatch = node.finish_running(self.sim.now)
@@ -595,6 +617,8 @@ class P2PGridSystem:
         self._try_start(node)
 
     def _task_finished(self, dispatch: TaskDispatch, node: PeerNode) -> None:
+        if self.recorder is not None:
+            self.recorder.add(self.sim.now, "finish", node.nid, dispatch.wid, dispatch.tid)
         wx = self.executions[dispatch.wid]
         self.dispatch_index.pop(dispatch.key(), None)
         if wx.status is not WorkflowStatus.RUNNING:
@@ -625,6 +649,8 @@ class P2PGridSystem:
         if wx.status is WorkflowStatus.RUNNING and wx.is_complete:
             wx.status = WorkflowStatus.DONE
             wx.completion_time = self.sim.now
+            if self.recorder is not None:
+                self.recorder.add(self.sim.now, "workflow_done", wx.home_id, wx.wf.wid)
             self.collector.workflow_done(self._record(wx))
 
     # --------------------------------------------------- full-ahead execution
@@ -721,6 +747,8 @@ class P2PGridSystem:
         if pending == 0:
             dispatch.ready_time = self.sim.now
             self._try_start(node)
+        if self.recorder is not None:
+            self.recorder.add(self.sim.now, "dispatch", node.nid, wf.wid, tid)
 
     def _release_deferred_edges(self, wx, producer_tid: int, producer_node: int) -> None:
         """The producer finished: ship its outputs to waiting consumers (or
@@ -772,31 +800,28 @@ class P2PGridSystem:
             return
         node.alive = False
         self._record_churn("leave", nid)
+        lost: list[TaskDispatch] = []
         if self.config.churn_mode == "suspend":
+            # In-flight inbound transfers are assumed buffered at the
+            # (returning) node's NIC and complete normally.
             if node.completion_event is not None:
                 node.suspended_remaining = max(
                     0.0, node.completion_event.time - self.sim.now
                 )
                 node.completion_event.cancel()
                 node.completion_event = None
-            # Overlay/gossip state dies with the connection; in-flight
-            # inbound transfers are assumed buffered at the (returning)
-            # node's NIC and complete normally.
-            self.overlay.remove_node(nid)
-            self.epidemic.remove_node(nid)
-            self.aggregation.remove_node(nid)
-            return
-
-        if node.completion_event is not None:
-            node.completion_event.cancel()
-        lost = list(node.ready)
-        if node.running is not None:
-            lost.append(node.running)
-        node.ready.clear()
-        node.running = None
-        node.completion_event = None
-        node.invalidate_load()
-        self.transfers.cancel_inbound(nid)
+        else:
+            if node.completion_event is not None:
+                node.completion_event.cancel()
+            lost.extend(node.ready)
+            if node.running is not None:
+                lost.append(node.running)
+            node.ready.clear()
+            node.running = None
+            node.completion_event = None
+            node.invalidate_load()
+            self.transfers.cancel_inbound(nid)
+        # Overlay/gossip state dies with the connection.
         self.overlay.remove_node(nid)
         self.epidemic.remove_node(nid)
         self.aggregation.remove_node(nid)
@@ -808,9 +833,13 @@ class P2PGridSystem:
             wx = self.executions[dispatch.wid]
             if wx.status is not WorkflowStatus.RUNNING:
                 continue
+            if self.recorder is not None:
+                self.recorder.add(self.sim.now, "task_lost", -1)
             self.collector.task_lost()
             self._lost_task_keys.add(dispatch.key())
             self.recovery.on_task_lost(self, wx, dispatch.tid, nid)
+        if self.recorder is not None:
+            self.recorder.add(self.sim.now, "node_down", nid)
 
     def revive_node(self, nid: int) -> None:
         """A departed node rejoins.
@@ -840,6 +869,8 @@ class P2PGridSystem:
         self.overlay.add_node(nid, self.sim.now)
         self.epidemic.add_node(nid)
         self.aggregation.add_node(nid)
+        if self.recorder is not None:
+            self.recorder.add(self.sim.now, "node_up", nid)
 
     def _reschedule_lost(self, wx, tid: int, dead_node: int) -> None:
         """Extension (paper's future work): restore lost tasks as schedule
@@ -867,6 +898,10 @@ class P2PGridSystem:
             if dispatch is not None and dispatch.start_time is None:
                 dispatch.cancelled = True
                 self.nodes[dispatch.target_id].remove(dispatch)
+        if self.recorder is not None:
+            self.recorder.add(
+                self.sim.now, "workflow_failed", wx.home_id, wx.wf.wid, detail=reason
+            )
         self.collector.workflow_failed(self._record(wx))
 
     # ---------------------------------------------------------------- records

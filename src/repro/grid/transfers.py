@@ -36,6 +36,7 @@ class Transfer:
         "remaining",
         "armed_at",
         "rate",
+        "seq",
     )
 
     def __init__(
@@ -44,11 +45,14 @@ class Transfer:
         dst: int,
         megabits: float,
         on_complete: Callable[[], None],
+        seq: int,
     ):
         self.src = src
         self.dst = dst
         self.megabits = megabits
         self.on_complete = on_complete
+        #: 1-based start order within its manager (the trace's transfer id).
+        self.seq = seq
         self.event: Optional[Event] = None
         self.done = False
         self.remaining = megabits
@@ -65,10 +69,14 @@ class Transfer:
 class TransferManager:
     """Schedules transfer completions and tracks them per destination."""
 
-    def __init__(self, sim: Simulator, topology: Topology, contention: bool = False):
+    def __init__(
+        self, sim: Simulator, topology: Topology, contention: bool = False, recorder=None
+    ):
         self.sim = sim
         self.topology = topology
         self.contention = contention
+        #: optional :class:`~repro.obs.recorder.TraceRecorder`
+        self.recorder = recorder
         #: active transfers keyed by destination (for churn cancellation).
         self.inbound: dict[int, set[Transfer]] = {}
         self.started = 0
@@ -89,12 +97,16 @@ class TransferManager:
         Local or empty transfers complete via a zero-delay event so callers
         get uniform asynchronous semantics.
         """
-        tr = Transfer(src, dst, megabits, on_complete)
+        self.started += 1
+        tr = Transfer(src, dst, megabits, on_complete, self.started)
+        if self.recorder is not None:
+            self.recorder.add(
+                self.sim.now, "transfer_start", dst, tid=tr.seq, src=src, size=megabits
+            )
         group = self.inbound.get(dst)
         if group is None:
             group = self.inbound[dst] = set()
         group.add(tr)
-        self.started += 1
         self.active_now += 1
         if self.active_now > self.peak_active:
             self.peak_active = self.active_now
@@ -132,6 +144,11 @@ class TransferManager:
         self.completed += 1
         self.active_now -= 1
         self.bytes_moved += tr.megabits
+        if self.recorder is not None:
+            self.recorder.add(
+                self.sim.now, "transfer_done", tr.dst, tid=tr.seq, src=tr.src,
+                size=tr.megabits,
+            )
         tr.on_complete()
         if self.contention:
             self._arm_contended(tr.dst)

@@ -4,9 +4,8 @@
   (the model Brite implements for router-level topologies).
 * :mod:`repro.net.topology` — the :class:`~repro.net.topology.Topology`
   facade: per-link bandwidth/latency, end-to-end bandwidth (bottleneck of the
-  widest path) and latency (shortest path).
-* :mod:`repro.net.bottleneck` — exact all-pairs widest-path bandwidth via
-  descending-Kruskal component merging.
+  widest path, from one descending-Kruskal sweep) and latency (shortest
+  path).
 * :mod:`repro.net.landmarks` — landmark-based bandwidth estimation
   (Maniymaran & Maheswaran's bandwidth landmarking, the paper's ref [17]).
 """

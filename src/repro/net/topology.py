@@ -11,13 +11,20 @@ the two end-to-end quantities the grid runtime needs:
 model does (``datasize / bandwidth``), plus the propagation term which is
 negligible for the paper's data sizes but keeps the model physical.
 
-Two storage regimes, switched on ``exact_paths``:
+Bottleneck bandwidth always comes from one descending-Kruskal sweep
+(:func:`widest_paths`): processing links in descending bandwidth order with
+a union-find, the link that first merges the components of ``u`` and ``v``
+has exactly their widest-path bottleneck, so the sweep yields the
+maximum-spanning forest, the exact mean over all connected pairs (the link
+merging components of sizes ``a`` and ``b`` is the bottleneck for exactly
+``a*b`` unordered pairs) and, when asked, the whole matrix by NumPy block
+assignments.  Two storage regimes, switched on ``exact_paths``:
 
 * **exact** (default up to ``_EXACT_MAX_NODES`` peers) — both end-to-end
-  matrices are computed eagerly: all-pairs bottleneck bandwidth via one
-  descending-Kruskal sweep and all-pairs latency via scipy's multi-source
-  Dijkstra.  At the paper's largest scale (n=2000) each matrix is 32 MB and
-  every lookup is an O(1) array read.
+  matrices are computed eagerly: the sweep block-fills all-pairs bottleneck
+  bandwidth and scipy's multi-source Dijkstra gives all-pairs latency.  At
+  the paper's largest scale (n=2000) each matrix is 32 MB and every lookup
+  is an O(1) array read.
 * **scalable** (``metro-10k`` and beyond) — the all-pairs matrices would
   cost O(n^2) memory (800 MB each at n=10k) and the Dijkstra sweep minutes
   of wall clock, so nothing quadratic is ever built.  Bottleneck bandwidth
@@ -27,24 +34,21 @@ Two storage regimes, switched on ``exact_paths``:
   the standard landmark scheme — single-source Dijkstra from ``log2 n``
   high-degree landmarks, ``lat(u, v) ~= min_k lat(u, k) + lat(k, v)`` — an
   upper bound that is exact whenever a landmark lies on the shortest path.
-  ``mean_bandwidth`` is still exact, accumulated during the Kruskal sweep
-  (the edge merging components of sizes ``a`` and ``b`` is the bottleneck
-  for exactly ``a*b`` unordered pairs).
+  ``mean_bandwidth`` is the sweep's exact mean.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from repro.net.bottleneck import all_pairs_bottleneck
 from repro.net.waxman import WaxmanGraph, generate_waxman
 
-__all__ = ["Topology"]
+__all__ = ["Topology", "WidestPaths", "widest_paths"]
 
 #: Speed of signal propagation used to turn plane distance into latency.
 #: The plane is unit-less; this constant maps the default 1000-unit plane to
@@ -54,6 +58,83 @@ _PROPAGATION_UNITS_PER_SECOND = 25_000.0
 #: Largest node count that defaults to eager all-pairs matrices.  Above it
 #: the scalable widest-forest / latency-landmark representation kicks in.
 _EXACT_MAX_NODES = 4096
+
+
+class WidestPaths(NamedTuple):
+    """What one descending-Kruskal sweep yields (see :func:`widest_paths`)."""
+
+    #: maximum-spanning-forest links as parallel lists, in merge order
+    u: list[int]
+    v: list[int]
+    width: list[float]
+    #: exact mean widest-path width over all connected unordered pairs
+    mean: float
+    #: ``(n, n)`` widest-path widths (``inf`` on the diagonal, ``0`` for
+    #: disconnected pairs), or ``None`` unless requested
+    matrix: Optional[np.ndarray]
+
+
+def widest_paths(
+    n: int, edges: np.ndarray, widths: np.ndarray, matrix: bool = False
+) -> WidestPaths:
+    """Widest-path (bottleneck) bandwidth of an ``n``-node graph.
+
+    ``edges`` is an ``(m, 2)`` undirected index array and ``widths`` the
+    ``(m,)`` per-link bandwidths.  Every pair across two components merged
+    by a link has that link's width as its bottleneck (all earlier links
+    were wider and failed to connect them); with ``matrix`` those pairs are
+    written as NumPy blocks from the union-find's member lists.
+    """
+    if len(edges) != len(widths):
+        raise ValueError("edges and widths must have the same length")
+    bott = None
+    if matrix:
+        bott = np.zeros((n, n))
+        np.fill_diagonal(bott, np.inf)
+    uf = list(range(n))
+    members: list[Optional[list[int]]] = [[i] for i in range(n)]
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    tu: list[int] = []
+    tv: list[int] = []
+    tw: list[float] = []
+    pair_sum = 0.0
+    pair_cnt = 0
+    eu = edges[:, 0].tolist()
+    ev = edges[:, 1].tolist()
+    wl = np.asarray(widths, dtype=np.float64).tolist()
+    for idx in np.argsort(widths)[::-1].tolist():
+        ru, rv = find(eu[idx]), find(ev[idx])
+        if ru == rv:
+            continue
+        mu, mv = members[ru], members[rv]
+        assert mu is not None and mv is not None
+        ww = wl[idx]
+        pair_sum += ww * len(mu) * len(mv)
+        pair_cnt += len(mu) * len(mv)
+        tu.append(eu[idx])
+        tv.append(ev[idx])
+        tw.append(ww)
+        if bott is not None:
+            au = np.asarray(mu, dtype=np.int64)
+            av = np.asarray(mv, dtype=np.int64)
+            bott[np.ix_(au, av)] = ww
+            bott[np.ix_(av, au)] = ww
+        # Union by size.
+        if len(mu) < len(mv):
+            ru, rv, mu, mv = rv, ru, mv, mu
+        uf[rv] = ru
+        mu.extend(mv)
+        members[rv] = None
+        if len(tu) == n - 1:
+            break
+    mean = pair_sum / pair_cnt if pair_cnt else 0.0
+    return WidestPaths(tu, tv, tw, mean, bott)
 
 
 class Topology:
@@ -94,15 +175,16 @@ class Topology:
         if exact_paths is None:
             exact_paths = self.n <= _EXACT_MAX_NODES
         self.exact_paths = bool(exact_paths)
-        self._bw_mat: Optional[np.ndarray] = None
         self._lat_mat: Optional[np.ndarray] = None
+        widest = widest_paths(
+            self.n, graph.edges, self.link_bandwidth, matrix=self.exact_paths
+        )
+        self._bw_mat = widest.matrix
+        self._mean_bw = widest.mean
         if self.exact_paths:
-            self._bw_mat = all_pairs_bottleneck(
-                self.n, graph.edges, self.link_bandwidth
-            )
             self._lat_mat = self._all_pairs_latency()
         else:
-            self._build_widest_forest()
+            self._build_widest_forest(widest)
             self._build_latency_landmarks()
             #: (u, v) -> (bandwidth, latency) memo for repeated transfer
             #: pairs (workflow edges re-ship between the same endpoints).
@@ -126,53 +208,15 @@ class Topology:
             return np.zeros((n, n))
         return dijkstra(self._adjacency(), directed=True)
 
-    def _build_widest_forest(self) -> None:
-        """Maximum-spanning forest of the link-bandwidth graph.
+    def _build_widest_forest(self, widest: WidestPaths) -> None:
+        """Path-min index over the sweep's maximum-spanning forest.
 
         Widest-path bottlenecks live entirely on this forest: the bottleneck
         between ``u`` and ``v`` is the minimum edge weight on their forest
-        path.  One descending-Kruskal sweep builds the forest and, as a
-        byproduct, the exact system-wide mean bottleneck bandwidth.
+        path.
         """
         n = self.n
-        e = self.graph.edges
-        w = self.link_bandwidth
-        uf = list(range(n))
-        size = [1] * n
-
-        def find(x: int) -> int:
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
-        order = np.argsort(w)[::-1]
-        tu: list[int] = []
-        tv: list[int] = []
-        tw: list[float] = []
-        pair_sum = 0.0
-        pair_cnt = 0
-        eu = e[:, 0].tolist()
-        ev = e[:, 1].tolist()
-        wl = w.tolist()
-        for idx in order.tolist():
-            ru, rv = find(eu[idx]), find(ev[idx])
-            if ru == rv:
-                continue
-            ww = wl[idx]
-            pair_sum += ww * size[ru] * size[rv]
-            pair_cnt += size[ru] * size[rv]
-            tu.append(eu[idx])
-            tv.append(ev[idx])
-            tw.append(ww)
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            uf[rv] = ru
-            size[ru] += size[rv]
-            if len(tu) == n - 1:
-                break
-        self._mean_bw = pair_sum / pair_cnt if pair_cnt else 0.0
-
+        tu, tv, tw = widest.u, widest.v, widest.width
         # CSR adjacency of the (undirected) forest.
         src = np.asarray(tu + tv, dtype=np.int64)
         dst = np.asarray(tv + tu, dtype=np.int64)
@@ -384,6 +428,8 @@ class Topology:
             return float("inf")
         if self._bw_mat is None:
             return self._mean_bw
+        # With the matrix present this keeps its own summation: the value
+        # feeds every workflow's EFT, so its float rounding is in the digests.
         off = ~np.eye(n, dtype=bool)
         vals = self._bw_mat[off]
         finite = vals[np.isfinite(vals) & (vals > 0)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.trace.recorder import TraceRecorder
+from repro.obs.recorder import TraceRecorder
 
 __all__ = [
     "node_utilization",

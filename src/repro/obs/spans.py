@@ -1,7 +1,8 @@
 """Sim-time tracing spans: Chrome trace-event JSON from a TraceRecorder.
 
 :func:`build_chrome_trace` turns the events a
-:class:`~repro.trace.recorder.TraceRecorder` collected (plus the
+:class:`~repro.obs.recorder.TraceRecorder` collected from a
+``P2PGridSystem(config, recorder=...)`` run (plus the
 workflow records of the finished :class:`~repro.metrics.collectors.RunResult`)
 into the Trace Event Format understood by Perfetto
 (https://ui.perfetto.dev) and ``chrome://tracing``:
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.collectors import RunResult
-    from repro.trace.recorder import TraceRecorder
+    from repro.obs.recorder import TraceRecorder
 
 __all__ = [
     "build_chrome_trace",

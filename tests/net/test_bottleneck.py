@@ -1,7 +1,9 @@
-"""Tests for all-pairs widest-path bottleneck bandwidth.
+"""Tests for widest-path bottleneck bandwidth (:func:`widest_paths`).
 
-The descending-Kruskal implementation is checked against a brute-force
-widest-path computation via networkx on random graphs (property test).
+The descending-Kruskal sweep is checked against a brute-force widest-path
+computation via networkx on random graphs (property test), in both of its
+outputs: the block-filled all-pairs matrix and the maximum-spanning forest
+with its exact pair mean.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.bottleneck import all_pairs_bottleneck
+from repro.net.topology import widest_paths
+
+
+def all_pairs_bottleneck(n, edges, widths):
+    """The sweep's block-filled ``(n, n)`` matrix."""
+    return widest_paths(n, edges, widths, matrix=True).matrix
 
 
 def _brute_force(n, edges, widths):
@@ -131,3 +138,44 @@ def test_property_matches_networkx_brute_force(n, seed, p):
     ours = all_pairs_bottleneck(n, edges, widths)
     ref = _brute_force(n, edges, widths)
     assert np.allclose(ours, ref)
+
+
+def test_forest_mode_builds_no_matrix_and_same_forest():
+    rng = np.random.default_rng(3)
+    n = 30
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < 0.15
+    edges = np.stack([iu[mask], ju[mask]], axis=1)
+    widths = rng.uniform(0.1, 10.0, size=len(edges))
+    forest = widest_paths(n, edges, widths)
+    full = widest_paths(n, edges, widths, matrix=True)
+    assert forest.matrix is None
+    assert (forest.u, forest.v, forest.width, forest.mean) == (
+        full.u, full.v, full.width, full.mean
+    )
+
+
+@given(
+    n=st.integers(min_value=2, max_value=14),
+    seed=st.integers(0, 2**20),
+    p=st.floats(min_value=0.05, max_value=0.9),
+)
+@settings(max_examples=40, deadline=None)
+def test_property_forest_and_mean_match_brute_force(n, seed, p):
+    """The forest spans every component and its pair mean is the mean
+    widest-path width over all connected pairs."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(len(iu)) < p
+    edges = np.stack([iu[mask], ju[mask]], axis=1)
+    widths = rng.uniform(0.1, 10.0, size=len(edges))
+    ours = widest_paths(n, edges, widths)
+    ref = _brute_force(n, edges, widths)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(map(tuple, edges.tolist()))
+    assert len(ours.u) == n - nx.number_connected_components(g)
+    connected = ref[np.triu_indices(n, k=1)]
+    connected = connected[connected > 0]
+    expected = float(connected.mean()) if len(connected) else 0.0
+    assert np.isclose(ours.mean, expected)

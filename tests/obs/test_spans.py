@@ -13,7 +13,7 @@ from repro.obs.spans import (
     summarize_chrome_trace,
     write_chrome_trace,
 )
-from repro.trace.recorder import TraceRecorder
+from repro.obs.recorder import TraceRecorder
 
 #: Phases the exporter is allowed to emit (Trace Event Format).
 _VALID_PH = {"X", "i", "b", "e", "M"}

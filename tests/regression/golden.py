@@ -16,6 +16,7 @@ in the PR description.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -25,7 +26,9 @@ from repro.workload.scenarios import apply_scenario
 __all__ = ["AVAILABILITY_GOLDEN_PATH", "AVAILABILITY_SCENARIOS", "AVAILABILITY_TRACE_PATH",
            "GOLDEN_ALGORITHMS", "GOLDEN_PATH", "GOLDEN_SCENARIOS", "GOLDEN_SEEDS",
            "METRO_GOLDEN_PATH", "TRACE_GOLDEN_PATH", "TRACE_SCENARIOS",
-           "availability_config", "availability_specs",
+           "EVENT_STREAM_GOLDEN_PATH", "EVENT_STREAM_SHAPES",
+           "availability_config", "availability_specs", "event_stream_config",
+           "event_stream_digest", "load_event_stream_golden",
            "golden_config", "golden_specs", "load_availability_golden", "load_golden",
            "load_metro_golden", "load_trace_golden", "metro_config", "trace_config",
            "trace_specs"]
@@ -164,4 +167,67 @@ def trace_specs() -> list[tuple[str, ExperimentConfig]]:
 def load_trace_golden() -> dict:
     """The recorded imported-trace fingerprint file as a dict."""
     with TRACE_GOLDEN_PATH.open() as fh:
+        return json.load(fh)
+
+
+# --------------------------- recorder event streams ------------------------
+# The execution trace itself is pinned too: each shape below runs with a
+# TraceRecorder and its whole event stream is hashed, so a hook site that
+# moves, disappears or fires in a different order fails exactly.  The
+# shapes cover every hook: phase-1 dispatch and phase-2 start, full-ahead
+# dispatch (heft), every churn mode and recovery policy, session churn,
+# contended transfers, immediate dispatch, oracle views and streaming
+# arrivals.
+
+EVENT_STREAM_GOLDEN_PATH = Path(__file__).with_name("golden_event_streams.json")
+
+_STREAM_BASE = dict(
+    algorithm="dsmf",
+    n_nodes=24,
+    load_factor=2,
+    total_time=12 * 3600.0,
+    seed=5,
+    task_range=(2, 10),
+)
+_CHURN = dict(dynamic_factor=0.2)
+
+#: shape name -> overrides of the small base grid above.
+EVENT_STREAM_SHAPES: dict[str, dict] = {
+    "dsmf-static": {},
+    "fail-reschedule": dict(_CHURN, churn_mode="fail", recovery_policy="reschedule"),
+    "fail-fail": dict(_CHURN, churn_mode="fail", recovery_policy="fail"),
+    "fail-checkpoint": dict(_CHURN, churn_mode="fail", recovery_policy="checkpoint"),
+    "suspend": dict(_CHURN, churn_mode="suspend"),
+    "sessions": dict(churn_model="sessions", churn_mode="fail",
+                     recovery_policy="reschedule"),
+    "contention": dict(transfer_contention=True),
+    "immediate": dict(immediate_dispatch=True),
+    "dheft-oracle": dict(algorithm="dheft", rss_mode="oracle"),
+    "poisson-steady": dict(scenario="poisson-steady"),
+    "heft": dict(algorithm="heft"),
+}
+
+
+def event_stream_config(shape: str) -> ExperimentConfig:
+    """The exact config of one recorder event-stream shape."""
+    overrides = dict(EVENT_STREAM_SHAPES[shape])
+    scenario = overrides.pop("scenario", None)
+    cfg = ExperimentConfig(**{**_STREAM_BASE, **overrides})
+    return apply_scenario(cfg, scenario) if scenario else cfg
+
+
+def event_stream_digest(events) -> str:
+    """sha256 over every event's ``(time, kind, node, wid, tid, detail,
+    src, size)``, floats in exact hex, one tab-separated line per event."""
+    h = hashlib.sha256()
+    for e in events:
+        fields = (float(e.time).hex(), e.kind, e.node, e.wid, e.tid,
+                  e.detail, e.src, float(e.size).hex())
+        h.update(("\t".join(map(str, fields)) + "\n").encode())
+    return h.hexdigest()
+
+
+def load_event_stream_golden() -> dict:
+    """The recorded event-stream file as a dict."""
+    with EVENT_STREAM_GOLDEN_PATH.open() as fh:
         return json.load(fh)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.grid.system import P2PGridSystem
-from repro.trace import (
+from repro.obs import (
     TraceRecorder,
     gantt_ascii,
     node_utilization,
@@ -25,8 +25,8 @@ def _traced_system(workflows=None, **kw):
         task_range=(2, 6),
     )
     base.update(kw)
-    system = P2PGridSystem(ExperimentConfig(**base), workflows=workflows)
-    recorder = TraceRecorder().attach(system)
+    recorder = TraceRecorder()
+    system = P2PGridSystem(ExperimentConfig(**base), workflows=workflows, recorder=recorder)
     return system, recorder
 
 
@@ -65,11 +65,6 @@ class TestRecorder:
         system.run()
         assert len(rec.of_kind("node_down")) > 0
         assert len(rec.of_kind("node_up")) > 0
-
-    def test_cannot_attach_twice(self):
-        system, rec = _traced_system()
-        with pytest.raises(RuntimeError):
-            rec.attach(system)
 
     def test_for_node_filter(self):
         wf = chain_workflow("c", 3, load=500.0, data=10.0)

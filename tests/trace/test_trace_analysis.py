@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.grid.system import P2PGridSystem
-from repro.trace import (
+from repro.obs import (
     TraceRecorder,
     gantt_ascii,
     gossip_round_stats,
@@ -29,9 +29,8 @@ def traced():
         seed=17,
         task_range=(2, 6),
     )
-    system = P2PGridSystem(config)
-    recorder = TraceRecorder().attach(system)
-    result = system.run()
+    recorder = TraceRecorder()
+    result = P2PGridSystem(config, recorder=recorder).run()
     return recorder, result
 
 
@@ -125,9 +124,8 @@ class TestGantt:
             algorithm="dsmf", n_nodes=8, load_factor=1,
             total_time=2 * 3600.0, seed=3, task_range=(2, 4),
         )
-        system = P2PGridSystem(config, workflows=[(0, wf)])
-        recorder = TraceRecorder().attach(system)
-        system.run()
+        recorder = TraceRecorder()
+        P2PGridSystem(config, workflows=[(0, wf)], recorder=recorder).run()
         chart = gantt_ascii(recorder, width=40)
         assert "node" in chart
         assert "t=0" in chart
