@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the reproduction's model design choices.
 
 These go beyond the paper's figures: each isolates one model ingredient
 (partial information, staleness, bandwidth estimation error, scheduling

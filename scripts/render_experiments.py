@@ -353,7 +353,7 @@ def main() -> None:
     A("Paper: throughput distinctly lower as df grows (Fig. 12), while "
       "finished workflows keep 'relatively stable finish-time and "
       "efficiency when df ≤ 0.2'.  Measured (suspend churn semantics — see "
-      "DESIGN.md): the throughput curves separate exactly like Fig. 12 "
+      "`churn_mode` in `ExperimentConfig`): the throughput curves separate exactly like Fig. 12 "
       "(monotone in df at every mid-run instant); at our capacity margin "
       "everything still converges by 36 h, whereas the paper's largest "
       "workflows do not.  ACT/AE of finished workflows degrade gracefully "

@@ -105,7 +105,7 @@ class Phase1Runner:
                     caps.append(node.capacity)
                     loads.append(node.total_load())
         else:
-            # Zero-copy column reads off the struct-of-arrays RSS (a row
+            # Zero-copy column reads off the RSS record table (a row
             # never contains its owner, so no home filter is needed).
             rss_ids, rss_caps, rss_loads, rss_ts = system.epidemic.rss_columns(
                 home_id

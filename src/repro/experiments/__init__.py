@@ -1,8 +1,8 @@
 """Evaluation harness (substrate S18): configs, scenarios, figures, CLI.
 
 Every table and figure of the paper's Section IV has a regeneration entry
-point here; see DESIGN.md's per-experiment index and
-``python -m repro --help``.
+point here; the ``FIGURES`` dict in :mod:`repro.experiments.figures` maps
+each figure to its function, and ``python -m repro --help`` lists the CLI.
 """
 
 from repro.experiments.campaign import CampaignResult, CampaignRunner, RunSpec, sweep_specs

@@ -2,9 +2,9 @@
 
 Each ``figN_*`` function runs the simulations the paper's figure aggregates
 and returns a :class:`FigureResult` holding the same series/bars the figure
-plots.  The per-experiment index in DESIGN.md maps figures to these
-functions; ``python -m repro figure <n>`` renders them as ASCII plots and
-CSV.
+plots.  The ``FIGURES`` dict at the end of this module maps figure names
+to these functions; ``python -m repro figure <n>`` renders them as ASCII
+plots and CSV.
 
 Scale profiles (``paper`` / ``medium`` / ``small``) shrink node count and
 horizon while keeping all Table I per-task parameters, preserving the

@@ -1,16 +1,15 @@
 """Shared NumPy kernels for batched gossip rounds.
 
 Both bounded-view gossip protocols (epidemic RSS dissemination and the
-Newscast membership shuffle) reduce each cycle to the same primitive: a
-pile of ``(target, key, timestamp, payload...)`` rows — every target's
-existing cache contents plus everything delivered to it this round —
-deduplicated per ``(target, key)`` keeping the freshest timestamp, then
-trimmed to each target's ``cap`` freshest keys.  :func:`topk_merge` does
-that for the *whole system at once* in two sorts, each one unstable
-``argsort`` over an exact int64 code that packs every sort key (the
-timestamp enters as its rank among the pile's distinct stamps), replacing
-the per-delivery merge-dict / sort-and-refill loops that previously
-dominated the gossip hot path.
+Newscast membership shuffle) reduce each cycle to the same primitive,
+:meth:`repro.gossip.table.RecordTable.merge`: a pile of
+``(target, key, timestamp, payload...)`` rows — every target's existing
+cache contents plus everything delivered to it this round — deduplicated
+per ``(target, key)`` keeping the freshest timestamp, then trimmed to each
+target's ``cap`` freshest keys.  :func:`topk_merge` ranks that pile for
+the *whole system at once* in two sorts, each one unstable ``argsort``
+over an exact int64 code that packs every sort key (the timestamp enters
+as its rank among the pile's distinct stamps).
 
 :func:`row_topk_smallest` is the batched without-replacement sampler both
 protocols use: draw one random key per cache slot, then take the ``k``

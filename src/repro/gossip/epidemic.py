@@ -22,19 +22,14 @@ slices) / :meth:`rss_view` (a dict snapshot); the scheduler additionally
 (Algorithm 1 line 15) so consecutive picks in the same scheduling cycle
 see the load they just added.
 
-Performance: the RSS caches live in struct-of-arrays form — ``(n, cap)``
-id/capacity/load/timestamp/TTL matrices plus a per-row length — and a
-cycle is one *simultaneous* round: every sender's fan-out targets and
-push digest are drawn as single batched key selections
-(:func:`repro.gossip.batch.row_topk_smallest`), and all deliveries are
-merged and capacity-evicted at once from start-of-round state through the
-shared :func:`repro.gossip.batch.topk_merge` kernel (per-target top-cap
-rank selection replaces the old per-delivery sort-and-refill eviction).
-This replaced the sequential per-sender push loop (PR 8's documented
-semantic change): within one cycle deliveries no longer see each other's
-merges, so the RNG stream and the golden fingerprints were re-recorded,
-with the new stream validated against the statistical bands in
-``tests/regression``.
+The RSS caches are one :class:`~repro.gossip.table.RecordTable`: the key
+is the record owner, the float planes are stamp, capacity and load, and
+the int plane is the remaining hop count.  This module keeps only the send
+rule.  A cycle is one *simultaneous* round: every sender's fan-out targets
+and push digest are drawn as single batched key selections
+(:func:`repro.gossip.batch.row_topk_smallest`), and all deliveries merge
+at once into start-of-round state through :meth:`RecordTable.merge`, so
+within one cycle no delivery sees another's merge.
 """
 
 from __future__ import annotations
@@ -43,12 +38,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.gossip.batch import row_topk_smallest, topk_merge
+from repro.gossip.batch import row_topk_smallest
 from repro.gossip.messages import NodeStateRecord
 from repro.gossip.newscast import NewscastOverlay
+from repro.gossip.table import RecordTable
 from repro.sim.fastrand import FastSampler
 
 __all__ = ["EpidemicGossip"]
+
+# Float planes of the RSS table (plane 0 is the table's stamp plane).
+_STAMP, _CAP, _LOAD = 0, 1, 2
 
 LoadProvider = Callable[[int], tuple[float, float]]
 """Callback ``node_id -> (total_load_MI, capacity_MIPS)``."""
@@ -99,23 +98,10 @@ class EpidemicGossip:
         self.rss_capacity = int(rss_capacity)
         self.expiry = expiry
         self.fanout = max(1, int(np.ceil(np.log2(n))))
-        # Struct-of-arrays RSS: row i holds node i's known records in
-        # slots [0, _len[i]) — record owner ids in _ids, then capacity /
-        # load / stamp / remaining hops column-for-column.  A row never
-        # contains its owner.
-        ids = sorted(overlay.live)
-        self._n_alloc = max((ids[-1] + 1) if ids else 1, 1)
-        cap = self.rss_capacity
-        self._ids = np.zeros((self._n_alloc, cap), dtype=np.int64)
-        self._caps = np.zeros((self._n_alloc, cap))
-        self._loads = np.zeros((self._n_alloc, cap))
-        self._ts = np.zeros((self._n_alloc, cap))
-        self._ttl = np.zeros((self._n_alloc, cap), dtype=np.int64)
-        self._len = np.zeros(self._n_alloc, dtype=np.int64)
-        self._tracked = np.zeros(self._n_alloc, dtype=bool)
-        if ids:
-            self._tracked[np.asarray(ids, dtype=np.int64)] = True
-        self._col = np.arange(cap)
+        # One row per overlay row; a row never contains its owner.
+        self.table = RecordTable(
+            len(overlay.table), self.rss_capacity, n_float=3, n_int=1
+        )
         self.messages_sent = 0
         self.records_shipped = 0
         #: Delivered records that survived the round's freshness merge and
@@ -124,32 +110,9 @@ class EpidemicGossip:
         self.evictions = 0
 
     # ---------------------------------------------------------------- churn
-    def _ensure_row(self, node_id: int) -> None:
-        if node_id < self._n_alloc:
-            return
-        new_n = max(node_id + 1, 2 * self._n_alloc)
-        cap = self.rss_capacity
-        for name, fill in (
-            ("_ids", 0),
-            ("_caps", 0.0),
-            ("_loads", 0.0),
-            ("_ts", 0.0),
-            ("_ttl", 0),
-            ("_len", 0),
-            ("_tracked", False),
-        ):
-            old = getattr(self, name)
-            shape = (new_n, cap) if old.ndim == 2 else (new_n,)
-            grown = np.full(shape, fill, dtype=old.dtype)
-            grown[: self._n_alloc] = old
-            setattr(self, name, grown)
-        self._n_alloc = new_n
-
     def add_node(self, node_id: int) -> None:
-        """Start tracking a joining node (empty RSS; fills via gossip)."""
-        self._ensure_row(node_id)
-        self._tracked[node_id] = True
-        self._len[node_id] = 0
+        """A joining node starts with an empty RSS that fills via gossip."""
+        self.table.clear(node_id)
 
     def remove_node(self, node_id: int) -> None:
         """Forget a departing node's own view.
@@ -158,62 +121,49 @@ class EpidemicGossip:
         schedulers may still (incorrectly) select it — exactly the staleness
         hazard the paper attributes to node churning.
         """
-        if 0 <= node_id < self._n_alloc:
-            self._tracked[node_id] = False
-            self._len[node_id] = 0
+        if 0 <= node_id < len(self.table):
+            self.table.clear(node_id)
 
     # ---------------------------------------------------------------- cycle
     def run_cycle(self, now: float) -> None:
         """One simultaneous push round over every live node.
 
         All senders' fan-out draws and digest picks happen as single
-        batches, and every delivery is merged against *start-of-round*
-        state in one :func:`topk_merge` call.  Ties (same record owner,
-        same stamp) go to the incumbent, then to the earliest sender.
+        batches, and every delivery merges into *start-of-round* state in
+        one :meth:`RecordTable.merge`.  Ties (same record owner, same
+        stamp) go to the incumbent, then to the earliest sender.
         """
         senders = self.overlay.live_array()
+        if senders.size:
+            self._push(senders, now)
+        if self.expiry is not None:
+            self.table.expire(now - self.expiry)
+
+    def _push(self, senders: np.ndarray, now: float) -> None:
+        t = self.table
         s = int(senders.size)
-        if s == 0:
-            if self.expiry is not None:
-                self._expire(now)
-            return
-        cap = self.rss_capacity
-        col = self._col
 
         # Fresh self-records — the only per-node Python work in the
         # round (ground-truth reads from live node state).
-        self_loads = np.empty(s)
-        self_caps = np.empty(s)
+        own = np.empty((3, s))
+        own[_STAMP] = now
         provider = self.load_provider
         for k, i in enumerate(senders.tolist()):
-            load, capacity = provider(i)
-            self_loads[k] = load
-            self_caps[k] = capacity
+            own[_LOAD, k], own[_CAP, k] = provider(i)
 
-        # Fan-out targets (overlay stream), then the per-sender digest:
-        # up to push_size forwardable (ttl > 0) records plus the fresh
-        # self-record as the digest tail.
+        # Fan-out targets (overlay stream; only live peers are picked),
+        # then the per-sender digest: up to push_size forwardable (ttl > 0)
+        # records plus the fresh self-record as the digest tail.
         targets, t_ok = self.overlay.sample_rounds(senders, self.fanout)
-        t_ok = t_ok & (targets >= 0)
-        t_ok &= self._tracked[np.clip(targets, 0, self._n_alloc - 1)]
-
-        rows_ids = self._ids[senders]
-        rows_ttl = self._ttl[senders]
-        in_row = col[None, :] < self._len[senders][:, None]
-        forwardable = in_row & (rows_ttl > 0)
-        keys = self._fast.random_batch(s * cap).reshape(s, cap)
+        forwardable = t.filled(senders) & (t.ints[0][senders] > 0)
+        keys = self._fast.random_batch(s * t.cap).reshape(s, t.cap)
         dpos, d_ok = row_topk_smallest(keys, forwardable, self.push_size)
-
-        def gather(arr: np.ndarray) -> np.ndarray:
-            return np.take_along_axis(arr[senders], dpos, axis=1)
-
-        dg_nid = np.concatenate([gather(self._ids), senders[:, None]], axis=1)
-        dg_cap = np.concatenate([gather(self._caps), self_caps[:, None]], axis=1)
-        dg_load = np.concatenate([gather(self._loads), self_loads[:, None]], axis=1)
-        dg_ts = np.concatenate([gather(self._ts), np.full((s, 1), now)], axis=1)
+        fwd_key, fwd_f, fwd_i = t.take(senders[:, None] * t.cap + dpos)
+        width = dpos.shape[1] + 1
+        dg_key = np.concatenate([fwd_key, senders[:, None]], axis=1)
+        dg_f = np.concatenate([fwd_f, own[:, :, None]], axis=2)
         dg_ttl = np.concatenate(
-            [gather(self._ttl) - 1, np.full((s, 1), self.ttl, dtype=np.int64)],
-            axis=1,
+            [fwd_i[0] - 1, np.full((s, 1), self.ttl, dtype=np.int64)], axis=1
         )
         dg_ok = np.concatenate([d_ok, np.ones((s, 1), dtype=bool)], axis=1)
 
@@ -221,75 +171,26 @@ class EpidemicGossip:
         self.messages_sent += int(t_count.sum())
         self.records_shipped += int((t_count * dg_ok.sum(axis=1)).sum())
 
-        # Delivery rows: every (sender, target, digest entry) triple,
-        # minus records about the target itself.
-        fan = targets.shape[1]
-        width = dg_nid.shape[1]
+        # Deliveries: every (sender, target, digest entry) triple, minus
+        # records about the target itself.  ``st`` is the flat (sender,
+        # target) index and ``dg`` the flat (sender, digest entry) index.
         ok3 = t_ok[:, :, None] & dg_ok[:, None, :]
-        flat = np.flatnonzero(ok3.reshape(-1))
-        if flat.size == 0:
-            if self.expiry is not None:
-                self._expire(now)
-            return
-        si, rem = np.divmod(flat, fan * width)
-        ti, di = np.divmod(rem, width)
-        d_tgt = targets[si, ti]
-        d_nid = dg_nid[si, di]
-        hit = d_nid != d_tgt
-        si, di, d_tgt, d_nid = si[hit], di[hit], d_tgt[hit], d_nid[hit]
-
-        # Existing rows of every delivery target (pref 0: an incumbent
-        # beats a same-age delivery), then the shared merge + top-cap cut.
-        # Distinct delivery targets via a flag scatter (ids are dense row
-        # indices, so this beats hash-based np.unique on the row pile).
-        flag = np.zeros(self._n_alloc, dtype=bool)
-        flag[d_tgt] = True
-        touched = np.flatnonzero(flag)
-        in_tgt = col[None, :] < self._len[touched][:, None]
-        eflat = np.flatnonzero(in_tgt.reshape(-1))
-        ui, ci = np.divmod(eflat, cap)
-        e_tgt = touched[ui]
-
-        a_tgt = np.concatenate([e_tgt, d_tgt])
-        a_nid = np.concatenate([self._ids[e_tgt, ci], d_nid])
-        a_cap = np.concatenate([self._caps[e_tgt, ci], dg_cap[si, di]])
-        a_load = np.concatenate([self._loads[e_tgt, ci], dg_load[si, di]])
-        a_ts = np.concatenate([self._ts[e_tgt, ci], dg_ts[si, di]])
-        a_ttl = np.concatenate([self._ttl[e_tgt, ci], dg_ttl[si, di]])
-        a_pref = np.concatenate(
-            [np.zeros(eflat.size, dtype=np.int64), si + 1]
+        st, di = ok3.reshape(-1, width).nonzero()
+        d_tgt = targets.take(st)
+        si = st // targets.shape[1]
+        dg = si * width + di
+        d_key = dg_key.take(dg)
+        hit = d_key != d_tgt
+        si, dg = si[hit], dg[hit]
+        kept, evicted = t.merge(
+            d_tgt[hit],
+            d_key[hit],
+            si + 1,
+            dg_f.reshape(3, -1).take(dg, axis=1),
+            dg_ttl.take(dg)[None],
         )
-        sel, tgt_sel, rank, uniq, counts, n_evicted = topk_merge(
-            a_tgt, a_nid, a_ts, a_pref, cap
-        )
-        flat_pos = tgt_sel * cap + rank
-        np.put(self._ids, flat_pos, a_nid[sel])
-        np.put(self._caps, flat_pos, a_cap[sel])
-        np.put(self._loads, flat_pos, a_load[sel])
-        np.put(self._ts, flat_pos, a_ts[sel])
-        np.put(self._ttl, flat_pos, a_ttl[sel])
-        self._len[uniq] = counts
-        self.records_merged += int((a_pref[sel] > 0).sum())
-        self.evictions += n_evicted
-
-        if self.expiry is not None:
-            self._expire(now)
-
-    def _expire(self, now: float) -> None:
-        assert self.expiry is not None
-        horizon = now - self.expiry
-        lens = self._len
-        in_row = self._col[None, :] < lens[:, None]
-        keep = in_row & (self._ts >= horizon)
-        new_len = keep.sum(axis=1)
-        changed = np.flatnonzero(new_len < lens)
-        if changed.size == 0:
-            return
-        # Stable compaction: survivors slide left, preserving order.
-        order = np.argsort(~keep[changed], axis=1, kind="stable")
-        for arr in (self._ids, self._caps, self._loads, self._ts, self._ttl):
-            arr[changed] = np.take_along_axis(arr[changed], order, axis=1)
-        self._len[changed] = new_len[changed]
+        self.records_merged += kept
+        self.evictions += evicted
 
     # ------------------------------------------------------------ consumers
     def rss_columns(
@@ -298,20 +199,14 @@ class EpidemicGossip:
         """The resource set RSS(p) as parallel array slices.
 
         Returns ``(ids, capacities, loads, timestamps)`` views over the
-        node's row — the zero-copy form Algorithm 1's candidate table is
-        built from.  Callers must not mutate them (use
+        node's row, in slot order — the zero-copy form Algorithm 1's
+        candidate table is built from.  Callers must not mutate them (use
         :meth:`apply_local_update` / :meth:`discard`).
         """
-        if node_id >= self._n_alloc or not self._tracked[node_id]:
-            empty = np.zeros(0)
-            return empty.astype(np.int64), empty, empty, empty
-        m = int(self._len[node_id])
-        return (
-            self._ids[node_id, :m],
-            self._caps[node_id, :m],
-            self._loads[node_id, :m],
-            self._ts[node_id, :m],
-        )
+        t = self.table
+        m = t.lens[node_id]
+        f = t.floats[:, node_id, :m]
+        return t.keys[node_id, :m], f[_CAP], f[_LOAD], f[_STAMP]
 
     def rss_view(self, node_id: int) -> dict[int, NodeStateRecord]:
         """A dict *snapshot* of RSS(p), rebuilt per call.
@@ -320,56 +215,40 @@ class EpidemicGossip:
         mapping does not touch gossip state (hot paths use
         :meth:`rss_columns`).
         """
-        out: dict[int, NodeStateRecord] = {}
-        if node_id >= self._n_alloc or not self._tracked[node_id]:
-            return out
-        m = int(self._len[node_id])
-        ids = self._ids[node_id, :m].tolist()
-        caps = self._caps[node_id, :m].tolist()
-        loads = self._loads[node_id, :m].tolist()
-        ts = self._ts[node_id, :m].tolist()
-        ttl = self._ttl[node_id, :m].tolist()
-        for k, nid in enumerate(ids):
-            out[nid] = NodeStateRecord(nid, caps[k], loads[k], ts[k], ttl[k])
-        return out
-
-    def _find(self, owner: int, target: int) -> int:
-        """Slot of ``target`` in ``owner``'s row, or -1."""
-        if owner >= self._n_alloc or not self._tracked[owner]:
-            return -1
-        m = int(self._len[owner])
-        pos = np.flatnonzero(self._ids[owner, :m] == target)
-        return int(pos[0]) if pos.size else -1
+        t = self.table
+        m = t.lens[node_id]
+        stamps, caps, loads = t.floats[:, node_id, :m].tolist()
+        ids, ttls = t.keys[node_id, :m].tolist(), t.ints[0, node_id, :m].tolist()
+        return {
+            nid: NodeStateRecord(nid, cap, load, stamp, ttl)
+            for nid, cap, load, stamp, ttl in zip(ids, caps, loads, stamps, ttls)
+        }
 
     def discard(self, owner: int, target: int) -> None:
         """Drop the owner's record of ``target`` (stale-target eviction
         after a failed dispatch); no-op when absent."""
-        pos = self._find(owner, target)
-        if pos < 0:
-            return
-        last = int(self._len[owner]) - 1
-        for arr in (self._ids, self._caps, self._loads, self._ts, self._ttl):
-            arr[owner, pos] = arr[owner, last]
-        self._len[owner] = last
+        pos = self.table.find(owner, target)
+        if pos >= 0:
+            self.table.remove(owner, pos)
 
     def timestamp_of(self, owner: int, target: int) -> Optional[float]:
         """Stamp of the owner's record of ``target`` (telemetry), or None."""
-        pos = self._find(owner, target)
-        return None if pos < 0 else float(self._ts[owner, pos])
+        pos = self.table.find(owner, target)
+        return None if pos < 0 else float(self.table.floats[_STAMP, owner, pos])
 
     def apply_local_update(
         self, owner: int, target: int, new_load: float, now: float
     ) -> None:
         """Algorithm 1 line 15: after dispatching a task to ``target``,
         overwrite the *owner's local* record of the target's load."""
-        pos = self._find(owner, target)
-        if pos < 0:
-            return
-        self._loads[owner, pos] = new_load
-        self._ts[owner, pos] = now
+        pos = self.table.find(owner, target)
+        if pos >= 0:
+            self.table.floats[_LOAD, owner, pos] = new_load
+            self.table.floats[_STAMP, owner, pos] = now
 
     def mean_known_nodes(self) -> float:
         """Average RSS size over live nodes — the Fig. 11(a) metric."""
-        if not self._tracked.any():
+        live = self.overlay.live_array()
+        if live.size == 0:
             return 0.0
-        return float(self._len[self._tracked].mean())
+        return float(self.table.lens[live].mean())

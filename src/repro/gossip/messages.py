@@ -6,10 +6,11 @@ exactly the fields Algorithm 1 needs to evaluate Formula (9):
 the owner's identity, capacity ``c``, total load ``l`` and a freshness
 timestamp.  ``ttl`` implements the paper's max-hop bound (default 4).
 
-The gossip layer itself stores node state as struct-of-arrays rows
-(:mod:`repro.gossip.epidemic`); ``NodeStateRecord`` is the per-record view
-:meth:`~repro.gossip.epidemic.EpidemicGossip.rss_view` snapshots for tests
-and cold call sites.
+The epidemic keeps these records in a
+:class:`~repro.gossip.table.RecordTable` (key = owner; float planes
+timestamp, capacity, load; int plane TTL).  ``NodeStateRecord`` is the
+per-record view :meth:`~repro.gossip.epidemic.EpidemicGossip.rss_view`
+snapshots from one table row for tests and cold call sites.
 """
 
 from __future__ import annotations

@@ -12,23 +12,21 @@ The overlay also provides the peer-sampling service used by the epidemic and
 aggregation protocols, and absorbs churn: descriptors of departed nodes age
 out, joining nodes bootstrap from a random live seed.
 
-Performance: the caches live in struct-of-arrays form — ``(n, cache_size)``
-peer-id and freshness matrices plus a per-row length — and a cycle is one
-*simultaneous* round: every node's partner pick is a single batched draw
+The caches are one :class:`~repro.gossip.table.RecordTable`: the key is
+the peer and the one float plane is the descriptor's freshness stamp.
+This module keeps only the send rule.  A cycle is one *simultaneous*
+round: every node's partner pick is a single batched draw
 (:meth:`~repro.sim.fastrand.FastSampler.random_batch` keys + a row argmin),
-and all pairwise merges are applied at once from start-of-round state
-through the shared :func:`repro.gossip.batch.topk_merge` kernel.  This
-replaced the sequential per-node shuffle loop (PR 8's documented semantic
-change): within one cycle merges no longer chain through each other, so
-the RNG stream and the golden fingerprints were re-recorded, with the new
-stream validated against the statistical bands in ``tests/regression``.
+and all pairwise exchanges merge at once into start-of-round state through
+:meth:`RecordTable.merge`, so within one cycle no exchange sees another's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gossip.batch import row_topk_smallest, topk_merge
+from repro.gossip.batch import row_topk_smallest
+from repro.gossip.table import RecordTable
 from repro.sim.fastrand import FastSampler
 
 __all__ = ["NewscastOverlay"]
@@ -40,7 +38,8 @@ class NewscastOverlay:
     Parameters
     ----------
     node_ids:
-        Initially live peers.
+        Initially live peers; rows are built for ids up to the largest,
+        and only those ids may join later.
     rng:
         Peer-sampling randomness.  All bounded draws are emulated
         stream-identically (see module docstring); callers must not draw
@@ -63,18 +62,12 @@ class NewscastOverlay:
             cache_size = max(8, 2 * int(np.ceil(np.log2(n))))
         self.cache_size = int(cache_size)
         self.live: set[int] = set(node_ids)
-        self._n_alloc = max((max(node_ids) + 1) if node_ids else 1, 1)
-        c = self.cache_size
-        # Struct-of-arrays caches: row i holds node i's descriptors in
-        # slots [0, _clen[i]) — peer ids in _pid, freshness stamps in
-        # _fresh.  Rows never contain their owner.
-        self._pid = np.zeros((self._n_alloc, c), dtype=np.int64)
-        self._fresh = np.zeros((self._n_alloc, c))
-        self._clen = np.zeros(self._n_alloc, dtype=np.int64)
-        self._alive = np.zeros(self._n_alloc, dtype=bool)
+        n_rows = max((max(node_ids) + 1) if node_ids else 1, 1)
+        # A row never contains its owner.
+        self.table = RecordTable(n_rows, self.cache_size, n_float=1)
+        self._alive = np.zeros(n_rows, dtype=bool)
         if node_ids:
             self._alive[np.asarray(node_ids, dtype=np.int64)] = True
-        self._col = np.arange(c)
         self._live_cache: np.ndarray | None = None
         #: Completed pairwise shuffles / degenerate-cache reseeds
         #: (observability only — never read by the protocol).
@@ -89,131 +82,105 @@ class NewscastOverlay:
             return
         k = min(self.cache_size, n - 1)
         choice_indices = self._fast.choice_indices
+        keys, lens = self.table.keys, self.table.lens
         for i in node_ids:
-            # Same draws as rng.choice(ids_array, size=k+1, replace=False).
+            # Same draws as rng.choice(ids_array, size=k+1, replace=False);
+            # every bootstrap descriptor is stamped 0.
             m = 0
             for t in choice_indices(n, k + 1):
                 p = node_ids[t]
                 if p != i and m < self.cache_size:
-                    self._pid[i, m] = p
-                    self._fresh[i, m] = 0.0
+                    keys[i, m] = p
                     m += 1
-            self._clen[i] = m
+            lens[i] = m
 
-    def _ensure_row(self, node_id: int) -> None:
-        if node_id < self._n_alloc:
-            return
-        new_n = max(node_id + 1, 2 * self._n_alloc)
-        c = self.cache_size
-        for name, fill in (("_pid", 0), ("_fresh", 0.0), ("_clen", 0), ("_alive", False)):
-            old = getattr(self, name)
-            shape = (new_n, c) if old.ndim == 2 else (new_n,)
-            grown = np.full(shape, fill, dtype=old.dtype)
-            grown[: self._n_alloc] = old
-            setattr(self, name, grown)
-        self._n_alloc = new_n
-
-    def _live_array(self) -> np.ndarray:
-        """Live node ids, sorted ascending (cached between churn events)."""
+    def live_array(self) -> np.ndarray:
+        """Live node ids, sorted ascending (cached between churn events);
+        the epidemic and aggregation protocols drive their batched rounds
+        over the same array."""
         if self._live_cache is None:
             self._live_cache = np.fromiter(
                 sorted(self.live), dtype=np.int64, count=len(self.live)
             )
         return self._live_cache
 
-    # A public alias: the epidemic and aggregation protocols drive their
-    # batched rounds over the same sorted id array.
-    live_array = _live_array
-
     # ---------------------------------------------------------------- churn
     def add_node(self, node_id: int, now: float) -> None:
-        """Join: bootstrap the cache from a random live seed."""
-        self._ensure_row(node_id)
+        """Join: the cache is rebuilt from a random live seed's cache plus
+        a fresh descriptor of the seed, freshest first.  An id without a
+        row raises IndexError and leaves the overlay unchanged."""
+        t = self.table
+        t.clear(node_id)
         if node_id in self.live:  # defensive; joins are not re-entrant
             candidates = [p for p in sorted(self.live) if p != node_id]
         else:
             # The cached sorted live array IS the candidate list (the
             # joiner is not in it yet).
-            candidates = self._live_array()
+            candidates = self.live_array()
         self.live.add(node_id)
         self._alive[node_id] = True
         self._live_cache = None
-        m = 0
         if len(candidates):
             # Same draw as rng.choice(np.asarray(candidates)) — one bounded
             # integer — without the array round-trip.
             seed = int(candidates[self._fast.integers(len(candidates))])
-            sm = int(self._clen[seed])
-            pid = self._pid[seed, :sm]
-            fresh = self._fresh[seed, :sm]
-            keep = (pid != node_id) & (pid != seed)
-            pid = np.append(pid[keep], seed)
-            fresh = np.append(fresh[keep], now)
-            order = np.lexsort((pid, -fresh))[: self.cache_size]
-            m = int(order.size)
-            self._pid[node_id, :m] = pid[order]
-            self._fresh[node_id, :m] = fresh[order]
-        self._clen[node_id] = m
+            sm = t.lens[seed]
+            peers = t.keys[seed, :sm]
+            other = peers != node_id
+            t.fill(
+                node_id,
+                np.append(peers[other], seed),
+                np.append(t.floats[0, seed, :sm][other], now)[None],
+            )
 
     def remove_node(self, node_id: int) -> None:
         """Leave: the node's cache dies with it; remote descriptors of it
         age out naturally (no global purge — matching real gossip)."""
         self.live.discard(node_id)
-        if 0 <= node_id < self._n_alloc:
+        if 0 <= node_id < len(self.table):
             self._alive[node_id] = False
-            self._clen[node_id] = 0
+            self.table.clear(node_id)
         self._live_cache = None
 
     # ---------------------------------------------------------------- cycle
-    def _pick_one(
-        self, ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One uniform live cached peer per row of ``ids`` (batched).
-
-        Returns ``(partners, has)``; ``partners[r]`` is only meaningful
-        where ``has[r]``.  Consumes exactly ``len(ids) * cache_size``
-        doubles from the overlay stream regardless of occupancy.
-        """
-        s = int(ids.size)
-        rows = self._pid[ids]
-        valid = (self._col[None, :] < self._clen[ids][:, None]) & self._alive[rows]
-        keys = self._fast.random_batch(s * self.cache_size).reshape(
-            s, self.cache_size
+    def _draw(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cached peers of every row of ``ids``, which slots hold a
+        live peer, and one random key per slot.  Consumes exactly
+        ``len(ids) * cache_size`` doubles from the overlay stream
+        regardless of occupancy."""
+        peers = self.table.keys[ids]
+        live = self.table.filled(ids) & self._alive[peers]
+        keys = self._fast.random_batch(ids.size * self.cache_size).reshape(
+            ids.size, self.cache_size
         )
-        masked = np.where(valid, keys, np.inf)
-        pick = np.argmin(masked, axis=1)
-        rix = np.arange(s)
-        has = valid[rix, pick]
-        return rows[rix, pick], has
+        return peers, live, keys
 
     def run_cycle(self, now: float) -> None:
         """One simultaneous Newscast round over every live node.
 
-        Each node picks one random live cache entry; all pairs then merge
-        the union of their start-of-round caches plus fresh descriptors of
-        each other, keeping the freshest ``cache_size`` entries — computed
-        for the whole system in one :func:`topk_merge` call.
+        Each node picks one random live cache entry; each pair (i, j) then
+        sends i j's cache plus a fresh descriptor of j, and j the same of
+        i.  Every row keeps the freshest ``cache_size`` entries of its
+        start-of-round cache and what it was sent, in one
+        :meth:`RecordTable.merge`.
         """
-        live_ids = self._live_array()
+        live_ids = self.live_array()
         s = int(live_ids.size)
         if s == 0:
             return
-        c = self.cache_size
-        col = self._col
-        partners, has = self._pick_one(live_ids)
+        t = self.table
+        partners = self.sample_one_batch(live_ids)
+        has = partners >= 0
 
         # Degenerate caches (all entries churned out): reseed from a
         # random live candidate, in ascending node order.
         empty = np.flatnonzero(~has)
-        if empty.size:
+        if empty.size and s >= 2:
             live_list = live_ids.tolist()
             for r in empty.tolist():
-                if s < 2:
-                    continue
                 i = live_list[r]
-                t = self._fast.integers(s - 1)
-                p = live_list[t] if t < r else live_list[t + 1]
-                self._insert_descriptor(i, p, now)
+                x = self._fast.integers(s - 1)
+                self._reseed(i, live_list[x] if x < r else live_list[x + 1], now)
                 self.reseeds += 1
 
         P = live_ids[has]
@@ -222,84 +189,29 @@ class NewscastOverlay:
         if m == 0:
             return
         self.shuffles += m
-        pair_rank = np.arange(m, dtype=np.int64) + 1
+        # Row k of ``src`` sends its cache and a fresh descriptor of itself
+        # to row k of ``dst``; both sides of pair k deliver at pref k + 1.
+        src, dst = np.concatenate([J, P]), np.concatenate([P, J])
+        rank = np.tile(np.arange(1, m + 1, dtype=np.int64), 2)
+        r, cells = t.cells(src)
+        sent_key, sent_f, _ = t.take(cells)
+        tgt = np.concatenate([dst[r], dst])
+        key = np.concatenate([sent_key, src])
+        stamp = np.concatenate([sent_f[0], np.full(2 * m, now)])
+        pref = np.concatenate([rank[r], rank])
+        keep = key != tgt  # a node never caches itself
+        t.merge(tgt[keep], key[keep], pref[keep], stamp[None, keep])
 
-        # Row table for the merge kernel: each pair (i, j) contributes
-        # j's cache plus a fresh descriptor of j to target i, and vice
-        # versa; every involved node also re-submits its own cache
-        # (pref 0, so an incumbent beats a same-age delivery).
-        vJ = col[None, :] < self._clen[J][:, None]
-        f1 = np.flatnonzero(vJ.reshape(-1))
-        r1, c1 = np.divmod(f1, c)
-        vP = col[None, :] < self._clen[P][:, None]
-        f2 = np.flatnonzero(vP.reshape(-1))
-        r2, c2 = np.divmod(f2, c)
-        # Distinct involved nodes via a flag scatter (ids are dense row
-        # indices, so this beats hash-based np.unique on the row pile).
-        flag = np.zeros(self._n_alloc, dtype=bool)
-        flag[P] = True
-        flag[J] = True
-        involved = np.flatnonzero(flag)
-        vE = col[None, :] < self._clen[involved][:, None]
-        f0 = np.flatnonzero(vE.reshape(-1))
-        r0, c0 = np.divmod(f0, c)
-
-        a_tgt = np.concatenate(
-            [involved[r0], P[r1], J[r2], P, J]
-        )
-        a_key = np.concatenate(
-            [
-                self._pid[involved[r0], c0],
-                self._pid[J[r1], c1],
-                self._pid[P[r2], c2],
-                J,
-                P,
-            ]
-        )
-        a_ts = np.concatenate(
-            [
-                self._fresh[involved[r0], c0],
-                self._fresh[J[r1], c1],
-                self._fresh[P[r2], c2],
-                np.full(2 * m, now),
-            ]
-        )
-        a_pref = np.concatenate(
-            [
-                np.zeros(f0.size, dtype=np.int64),
-                pair_rank[r1],
-                pair_rank[r2],
-                pair_rank,
-                pair_rank,
-            ]
-        )
-        keep = a_key != a_tgt  # a node never caches itself
-        sel, tgt_sel, rank, uniq, counts, _ = topk_merge(
-            a_tgt[keep], a_key[keep], a_ts[keep], a_pref[keep], c
-        )
-        if uniq.size == 0:
-            return
-        flat = tgt_sel * c + rank
-        np.put(self._pid, flat, a_key[keep][sel])
-        np.put(self._fresh, flat, a_ts[keep][sel])
-        self._clen[uniq] = counts
-
-    def _insert_descriptor(self, node_id: int, peer: int, now: float) -> None:
-        """Add/refresh one descriptor, replacing the stalest when full."""
-        m = int(self._clen[node_id])
-        row = self._pid[node_id, :m]
-        pos = np.flatnonzero(row == peer)
-        if pos.size:
-            self._fresh[node_id, int(pos[0])] = now
-            return
-        if m < self.cache_size:
-            self._pid[node_id, m] = peer
-            self._fresh[node_id, m] = now
-            self._clen[node_id] = m + 1
-            return
-        stalest = int(np.argmin(self._fresh[node_id, :m]))
-        self._pid[node_id, stalest] = peer
-        self._fresh[node_id, stalest] = now
+    def _reseed(self, node_id: int, peer: int, now: float) -> None:
+        """Give a cache with no live entry one live peer: append it, or
+        overwrite the stalest entry when the cache is full.  (The peer is
+        live, so it is never already in the cache.)"""
+        t = self.table
+        m = int(t.lens[node_id])
+        slot = m if m < self.cache_size else int(np.argmin(t.floats[0, node_id]))
+        t.keys[node_id, slot] = peer
+        t.floats[0, node_id, slot] = now
+        t.lens[node_id] = max(m, slot + 1)
 
     # -------------------------------------------------------------- sampling
     def sample(self, node_id: int, k: int) -> list[int]:
@@ -308,13 +220,7 @@ class NewscastOverlay:
         Scalar path (tests, cold call sites); the protocols use the
         batched :meth:`sample_rounds` / :meth:`sample_one_batch`.
         """
-        if node_id not in self.live or node_id >= self._n_alloc:
-            return []
-        m = int(self._clen[node_id])
-        if m == 0:
-            return []
-        row = self._pid[node_id, :m]
-        peers = row[self._alive[row]].tolist()
+        peers = self.known_live(node_id)
         if not peers:
             return []
         n = len(peers)
@@ -335,44 +241,41 @@ class NewscastOverlay:
         ``(peers, picked)`` of shape ``(len(senders), min(k, cache_size))``;
         ``peers`` is ``-1`` where ``picked`` is False.
         """
-        s = int(senders.size)
-        rows = self._pid[senders]
-        valid = (
-            self._col[None, :] < self._clen[senders][:, None]
-        ) & self._alive[rows]
-        keys = self._fast.random_batch(s * self.cache_size).reshape(
-            s, self.cache_size
-        )
-        pos, picked = row_topk_smallest(keys, valid, k)
-        peers = np.take_along_axis(rows, pos, axis=1)
-        return np.where(picked, peers, -1), picked
+        peers, live, keys = self._draw(senders)
+        pos, picked = row_topk_smallest(keys, live, k)
+        return np.where(picked, np.take_along_axis(peers, pos, axis=1), -1), picked
 
     def sample_one_batch(self, ids: np.ndarray) -> np.ndarray:
         """One uniform live cached peer per id (``-1`` where none) — the
-        batched form of ``sample(i, 1)`` used by the aggregation pairing."""
-        partners, has = self._pick_one(ids)
-        return np.where(has, partners, -1)
+        batched form of ``sample(i, 1)``, used for the shuffle partners
+        and the aggregation pairing."""
+        peers, live, keys = self._draw(ids)
+        pick = np.argmin(np.where(live, keys, np.inf), axis=1)
+        rix = np.arange(ids.size)
+        return np.where(live[rix, pick], peers[rix, pick], -1)
 
     # ------------------------------------------------------------- consumers
     @property
     def cache(self) -> dict[int, dict[int, float]]:
-        """Dict-of-dicts snapshot of the caches (tests/diagnostics only;
-        rebuilt on every access — mutate nothing through it)."""
-        out: dict[int, dict[int, float]] = {}
-        for i in self.live:
-            m = int(self._clen[i])
-            out[i] = dict(
-                zip(self._pid[i, :m].tolist(), self._fresh[i, :m].tolist())
+        """Dict-of-dicts snapshot of the caches, each in slot order
+        (tests/diagnostics only; rebuilt on every access)."""
+        t = self.table
+        return {
+            i: dict(
+                zip(
+                    t.keys[i, : t.lens[i]].tolist(),
+                    t.floats[0, i, : t.lens[i]].tolist(),
+                )
             )
-        return out
+            for i in self.live
+        }
 
     def known_live(self, node_id: int) -> list[int]:
-        """All live peers currently in the node's cache."""
-        if node_id >= self._n_alloc:
+        """All live peers currently in the node's cache, in slot order."""
+        if node_id not in self.live:
             return []
-        m = int(self._clen[node_id])
-        row = self._pid[node_id, :m]
-        return row[self._alive[row]].tolist()
+        peers = self.table.keys[node_id, : self.table.lens[node_id]]
+        return peers[self._alive[peers]].tolist()
 
     def mean_descriptor_age(self, now: float) -> float:
         """Mean age (seconds) of cached peer descriptors across live nodes.
@@ -382,13 +285,11 @@ class NewscastOverlay:
         membership fresh; ages near the churn timescale mean stale
         neighbor sets.
         """
-        live_ids = self._live_array()
+        live_ids = self.live_array()
         if live_ids.size == 0:
             return 0.0
-        lens = self._clen[live_ids]
-        count = int(lens.sum())
+        count = int(self.table.lens[live_ids].sum())
         if count == 0:
             return 0.0
-        valid = self._col[None, :] < lens[:, None]
-        ages = (now - self._fresh[live_ids]) * valid
+        ages = (now - self.table.floats[0][live_ids]) * self.table.filled(live_ids)
         return float(ages.sum() / count)

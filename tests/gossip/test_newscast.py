@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro.gossip.newscast import NewscastOverlay
 from repro.sim.rng import spawn_generator
@@ -89,3 +92,60 @@ def test_known_live_excludes_dead():
     ov.remove_node(3)
     for i in ov.live:
         assert 3 not in ov.known_live(i)
+
+
+def test_add_node_beyond_the_constructed_rows_raises():
+    ov = _overlay(10, seed=7)
+    ov.remove_node(4)
+    live = set(ov.live)
+    with pytest.raises(IndexError):
+        ov.add_node(10, 1.0)
+    with pytest.raises(IndexError):
+        ov.add_node(-1, 1.0)
+    assert ov.live == live
+
+
+def test_degenerate_cache_reseed_replays_exactly():
+    """Force the reseed path: every peer in node 0's cache departs, so
+    node 0's next pick finds no live entry and it reseeds from a random
+    live node.  Every cache snapshot (in slot order, which is the order
+    the next partner draw reads) and the following draw are hashed; the
+    expected hash was recorded before the caches moved onto the shared
+    record table."""
+    ov = NewscastOverlay(list(range(12)), spawn_generator(3, "nc"), cache_size=3)
+    for peer in list(ov.cache[0]):
+        ov.remove_node(peer)
+    h = hashlib.sha256()
+    for c in range(6):
+        ov.run_cycle(300.0 * c)
+        cache = ov.cache
+        for i in sorted(cache):
+            h.update(repr((i, list(cache[i].items()))).encode())
+    draw = ov.sample_one_batch(ov.live_array())
+    h.update(repr(draw.tolist()).encode())
+    assert (ov.reseeds, ov.shuffles) == (2, 52)
+    assert draw.tolist() == [2, 0, 1, 8, 2, 1, 6, 4, 2]
+    assert h.hexdigest() == (
+        "c00eac126f170e835e1fede279859cc5f2223079ce040c9332600c8dcd4cbfb2"
+    )
+
+
+def _slots(ov):
+    return {i: list(c.items()) for i, c in sorted(ov.cache.items())}
+
+
+def test_reseed_appends_to_a_cache_that_is_not_full():
+    ov = NewscastOverlay(list(range(12)), spawn_generator(3, "nc"), cache_size=3)
+    for i in range(12):
+        ov.remove_node(i)
+    ov.add_node(0, 1.0)  # joins an empty overlay, so its cache is empty
+    ov.add_node(1, 2.0)
+    assert _slots(ov) == {0: [], 1: [(0, 2.0)]}
+    ov.run_cycle(300.0)  # node 0 reseeds into its empty cache
+    assert (ov.reseeds, ov.shuffles) == (1, 1)
+    assert _slots(ov) == {0: [(1, 300.0)], 1: [(0, 300.0)]}
+    ov.add_node(5, 400.0)
+    ov.remove_node(1)
+    ov.run_cycle(600.0)  # node 0's one entry has left: reseed appends
+    assert (ov.reseeds, ov.shuffles) == (2, 2)
+    assert _slots(ov) == {0: [(5, 600.0), (1, 400.0)], 5: [(0, 600.0), (1, 400.0)]}

@@ -23,15 +23,17 @@ from pathlib import Path
 from repro.experiments.config import ExperimentConfig
 from repro.workload.scenarios import apply_scenario
 
-__all__ = ["AVAILABILITY_GOLDEN_PATH", "AVAILABILITY_SCENARIOS", "AVAILABILITY_TRACE_PATH",
+__all__ = ["ALGORITHM_GOLDEN_PATH", "ALGORITHM_SCENARIOS", "OTHER_ALGORITHMS",
+           "AVAILABILITY_GOLDEN_PATH", "AVAILABILITY_SCENARIOS", "AVAILABILITY_TRACE_PATH",
            "GOLDEN_ALGORITHMS", "GOLDEN_PATH", "GOLDEN_SCENARIOS", "GOLDEN_SEEDS",
-           "METRO_GOLDEN_PATH", "TRACE_GOLDEN_PATH", "TRACE_SCENARIOS",
-           "EVENT_STREAM_GOLDEN_PATH", "EVENT_STREAM_SHAPES",
-           "availability_config", "availability_specs", "event_stream_config",
-           "event_stream_digest", "load_event_stream_golden",
-           "golden_config", "golden_specs", "load_availability_golden", "load_golden",
-           "load_metro_golden", "load_trace_golden", "metro_config", "trace_config",
-           "trace_specs"]
+           "METRO_GOLDEN_PATH", "METRO10K_GOLDEN_PATH", "TRACE_GOLDEN_PATH",
+           "TRACE_SCENARIOS", "EVENT_STREAM_GOLDEN_PATH", "EVENT_STREAM_SHAPES",
+           "algorithm_specs", "availability_config", "availability_specs",
+           "event_stream_config", "event_stream_digest", "load_algorithm_golden",
+           "load_event_stream_golden", "golden_config", "golden_specs",
+           "load_availability_golden", "load_golden", "load_metro_golden",
+           "load_metro10k_golden", "load_trace_golden", "metro_config",
+           "metro10k_config", "trace_config", "trace_specs"]
 
 GOLDEN_PATH = Path(__file__).with_name("golden_fingerprints.json")
 
@@ -89,6 +91,46 @@ def load_golden() -> dict:
         return json.load(fh)
 
 
+# ----------------------- the other registered algorithms -------------------
+# Every registered bundle outside GOLDEN_ALGORITHMS, pinned in its own file
+# (the file above is append-only history).  These are the policies whose
+# picks lean hardest on candidate order — pooled argmins, OLB's first
+# least-loaded node, random's index draw — so a reordered gossip view
+# shows up here first.  Seed 1 at the base scale, one static and one
+# churning scenario.
+
+ALGORITHM_GOLDEN_PATH = Path(__file__).with_name("golden_algorithms.json")
+OTHER_ALGORITHMS = (
+    "dsdf",
+    "min-min",
+    "max-min",
+    "sufferage",
+    "dsmf-fcfs",
+    "dheft-fcfs",
+    "min-min-fcfs",
+    "max-min-fcfs",
+    "sufferage-fcfs",
+    "olb",
+    "random",
+)
+ALGORITHM_SCENARIOS = ("paper-fig4", "weibull-sessions")
+
+
+def algorithm_specs() -> list[tuple[str, ExperimentConfig]]:
+    """``(cell_key, config)`` per other-algorithm cell, in recording order."""
+    return [
+        (f"{algorithm}@{scenario}", golden_config(algorithm, 1, scenario))
+        for scenario in ALGORITHM_SCENARIOS
+        for algorithm in OTHER_ALGORITHMS
+    ]
+
+
+def load_algorithm_golden() -> dict:
+    """The recorded other-algorithm fingerprint file as a dict."""
+    with ALGORITHM_GOLDEN_PATH.open() as fh:
+        return json.load(fh)
+
+
 def availability_config(scenario: str) -> ExperimentConfig:
     """The exact config of one availability-preset golden cell."""
     base = ExperimentConfig(algorithm="dsmf", seed=1, **_BASE)
@@ -128,6 +170,26 @@ def metro_config() -> ExperimentConfig:
 def load_metro_golden() -> dict:
     """The recorded metro fingerprint file as a dict."""
     with METRO_GOLDEN_PATH.open() as fh:
+        return json.load(fh)
+
+
+# ------------------------------ metro-10k cell -----------------------------
+# Above 4096 nodes the topology switches regime: a spanning forest replaces
+# the all-pairs bandwidth matrix and landmarks approximate latency.  One
+# 10,000-node cell (dsmf, seed 1, 1 h horizon) pins that regime end to end.
+
+METRO10K_GOLDEN_PATH = Path(__file__).with_name("golden_metro10k.json")
+
+
+def metro10k_config() -> ExperimentConfig:
+    """The exact config of the metro-10k golden cell."""
+    base = ExperimentConfig(algorithm="dsmf", seed=1, task_range=(2, 30))
+    return apply_scenario(base, "metro-10k").with_(total_time=3600.0)
+
+
+def load_metro10k_golden() -> dict:
+    """The recorded metro-10k fingerprint file as a dict."""
+    with METRO10K_GOLDEN_PATH.open() as fh:
         return json.load(fh)
 
 
