@@ -42,11 +42,8 @@ def test_bench_ft_vector(benchmark):
     """One vectorized Formula-(9) evaluation over a 24-candidate RSS."""
 
     class Flat:
-        def bw_between(self, src, targets):
-            return np.full(len(targets), 5.0)
-
-        def latency_between(self, src, targets):
-            return np.full(len(targets), 0.01)
+        def pairs(self, srcs, dsts):
+            return np.full(len(srcs), 5.0), np.full(len(srcs), 0.01)
 
     view = ResourceView(
         list(range(24)),

@@ -21,33 +21,40 @@ implements Algorithm 1 line 15: the scheduler's local record of the chosen
 node is bumped so the next pick in the same cycle sees the load it just
 added.
 
-Performance note: the typical view is tiny — the RSS holds O(log2 n)
-records — and at that size the fixed overhead of materializing numpy arrays
-dwarfs the arithmetic.  The view therefore keeps plain-Python candidate
-lists and serves :meth:`best`/:meth:`best_ft` (what every bundled phase-1
-policy actually calls) through a scalar fast path whenever the bandwidth
-provider exposes scalar lookups; IEEE arithmetic makes the scalar and
-vectorized paths bit-identical, and the vectorized :meth:`ft_vector` API is
-unchanged for the pooled list heuristics and large (oracle-mode) views.
-Eq. (4) does not depend on loads, so each view evaluates it once per
-distinct ``(image, inputs)`` and every entry point reuses that row.
+Performance note: Eq. (4) does not depend on loads, and within one phase-1
+cycle no home's candidates or task inputs change before its turn (another
+home's dispatches move only node loads and that home's own RSS row).  So
+:func:`ltd_rows` evaluates LTD for a whole cycle at once, in the shape of a
+bulk-scheduling cost matrix: every transfer of every distinct
+``(image, inputs)`` of every home is one segment of (source, candidate)
+pairs, one :meth:`BandwidthProvider.pairs` gather prices them all, and one
+segmented max folds them into per-key rows that seed each home's view.  A
+view answers every Formula-(9) entry point from those rows, and runs the
+same function for itself on a key the batch did not cover.  The typical
+view is tiny — the RSS holds O(log2 n) records — and at that size NumPy's
+per-call overhead dwarfs the arithmetic, so views of up to ``_SCALAR_MAX``
+candidates keep plain-Python lists and serve :meth:`~ResourceView.best` and
+:meth:`~ResourceView.best_ft` with a Python argmin; IEEE arithmetic makes it
+bit-identical to the NumPy one that larger views use.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-__all__ = ["BandwidthProvider", "ResourceView", "TaskInput"]
+__all__ = ["BandwidthProvider", "ResourceView", "TaskInput", "ltd_rows"]
 
 #: One dependent input: ``(source_node_id, megabits)``.
 TaskInput = tuple[int, float]
 
-#: Candidate counts up to this size take the scalar fast path in
-#: ``best``/``best_ft`` (crossover measured on the bench harness; both
-#: paths produce bit-identical floats, so the value only affects speed).
+#: One Eq. (4) key: a task's image size and its dependent inputs.
+LtdKey = tuple[float, tuple[TaskInput, ...]]
+
+#: Views of up to this many candidates keep Python lists and take the
+#: Python argmin (crossover measured on the bench harness; both argmins
+#: produce bit-identical floats, so the value only affects speed).
 _SCALAR_MAX = 64
 
 
@@ -56,121 +63,109 @@ class BandwidthProvider(Protocol):
 
     Implementations: the ground-truth topology (oracle) or the
     landmark-based estimator of :mod:`repro.net.landmarks`; actual
-    transfers always use the ground truth.  Providers may additionally
-    expose scalar ``bw_to(src, dst)``/``lat_to(src, dst)`` lookups to
-    enable the small-view fast path.
+    transfers always use the ground truth.  One call prices a whole
+    cycle's transfers, and nothing is cached per source.
     """
 
-    def bw_between(self, src: int, targets: np.ndarray) -> np.ndarray:
-        """Estimated bandwidth (Mb/s) from ``src`` to each target id."""
+    def pairs(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(bandwidth Mb/s, latency s)`` of each pair ``(srcs[i], dsts[i])``."""
         ...
-
-    def latency_between(self, src: int, targets: np.ndarray) -> np.ndarray:
-        """Latency (s) from ``src`` to each target id."""
-        ...
-
-
-def _float_row(values: np.ndarray) -> array:
-    """A float64 row as ``array('d')``: indexing it yields the same Python
-    floats as ``tolist()`` would, at 8 bytes per entry instead of 32."""
-    return array("d", np.asarray(values, dtype=np.float64).tobytes())
 
 
 class OracleBandwidth:
-    """Ground-truth bandwidth provider backed by the topology matrices."""
-
-    #: Row caching is always worthwhile here: construction already
-    #: materialized the dense matrices.
-    scalar_ok = True
+    """Ground-truth bandwidth and latency from the topology: matrix reads
+    on an exact topology, pair lookups on a scalable one, so no O(n^2)
+    matrix is ever built here."""
 
     def __init__(self, topology) -> None:
-        self._bw = topology._bandwidth
-        self._lat = topology._latency
-        # Per-source row caches (scalar fast path): indexing an
-        # ``array('d')`` returns a Python float several times faster than
-        # numpy scalar indexing, at a quarter of a list's memory, and rows
-        # are touched repeatedly across cycles.
-        self._bw_rows: dict[int, tuple[array, array]] = {}
+        self._topology = topology
 
-    def bw_between(self, src: int, targets: np.ndarray) -> np.ndarray:
-        return self._bw[src, targets]
-
-    def latency_between(self, src: int, targets: np.ndarray) -> np.ndarray:
-        return self._lat[src, targets]
-
-    def bw_to(self, src: int, dst: int) -> float:
-        return self.rows(src)[0][dst]
-
-    def lat_to(self, src: int, dst: int) -> float:
-        return self.rows(src)[1][dst]
-
-    def rows(self, src: int) -> tuple[array, array]:
-        """``(bandwidth_row, latency_row)`` from ``src`` as ``array('d')``.
-
-        Rows are static for a whole run, so each is converted once and the
-        scalar fast path indexes Python floats from then on.
-        """
-        row = self._bw_rows.get(src)
-        if row is None:
-            row = self._bw_rows[src] = (
-                _float_row(self._bw[src]),
-                _float_row(self._lat[src]),
-            )
-        return row
+    def pairs(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        topology = self._topology
+        return topology.bandwidth_between(srcs, dsts), topology.latency_between(srcs, dsts)
 
 
 class LandmarkBandwidth:
-    """Landmark-estimated bandwidth with oracle latency.
+    """Landmark-estimated bandwidth with the topology's latency.
 
     Latency to a handful of landmarks is trivially measurable (ping), so the
-    paper's nodes are assumed to know it; only bandwidth is estimated.
+    paper's nodes are assumed to know it; only bandwidth is estimated:
+    est(a, b) = max over landmarks L of min(bw(a, L), bw(L, b)).
     """
 
     def __init__(self, estimator, topology) -> None:
-        self._meas = estimator.measurements
+        #: One contiguous row per landmark: ``pairs`` takes the pairwise
+        #: min and running max one landmark at a time.
+        self._by_landmark = np.ascontiguousarray(estimator.measurements.T)
         self._topology = topology
-        #: Row caching materializes O(n)-element rows per queried
-        #: source — the dominant scheduling cost above the exact-matrix
-        #: scale, where views stay on the vectorized path instead.
-        self.scalar_ok = topology.exact_paths
-        #: src -> (estimated bandwidth row, latency row); estimates are
-        #: static per run, so each queried source pays the O(n log n) row
-        #: derivation once.
-        self._rows: dict[int, tuple[array, array]] = {}
 
-    def bw_between(self, src: int, targets: np.ndarray) -> np.ndarray:
-        est = np.minimum(self._meas[src][None, :], self._meas[targets]).max(axis=1)
-        est[targets == src] = np.inf
-        return est
+    def pairs(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        meas = self._by_landmark
+        bw = np.minimum(meas[0].take(srcs), meas[0].take(dsts))
+        for row in meas[1:]:
+            np.maximum(bw, np.minimum(row.take(srcs), row.take(dsts)), out=bw)
+        bw[srcs == dsts] = np.inf
+        return bw, self._topology.latency_between(srcs, dsts)
 
-    def latency_between(self, src: int, targets: np.ndarray) -> np.ndarray:
-        return self._topology.latency_between(src, targets)
 
-    def bw_to(self, src: int, dst: int) -> float:
-        return self.rows(src)[0][dst]
+def ltd_rows(
+    bandwidth: BandwidthProvider,
+    homes: Sequence[tuple[int, Sequence[int], Iterable[LtdKey]]],
+) -> list[dict[LtdKey, list[float] | np.ndarray]]:
+    """Eq. (4) for many homes in one pass.
 
-    def lat_to(self, src: int, dst: int) -> float:
-        return self.rows(src)[1][dst]
-
-    def rows(self, src: int) -> tuple[array, array]:
-        """``(estimated bandwidth row, latency row)`` from ``src``.
-
-        est(a, b) = max over landmarks of min(bw(a, L), bw(L, b)) — exact
-        min/max arithmetic, so the row matches ``bw_between`` bit for bit.
-        """
-        row = self._rows.get(src)
-        if row is None:
-            est = np.minimum(self._meas[src][None, :], self._meas).max(axis=1)
-            est[src] = np.inf
-            row = self._rows[src] = (
-                _float_row(est),
-                _float_row(self._topology.latency_row(src)),
-            )
-        return row
+    ``homes`` lists ``(home_id, candidate_ids, keys)``.  Returns, per home,
+    each key's LTD row over its candidates: a list for views of up to
+    ``_SCALAR_MAX`` candidates, an array above.  The image ships from the
+    home and each input from its source; a transfer of no data, or onto
+    the node that already holds it, costs nothing.  Each transfer is one
+    segment of (source, candidate) pairs: one ``bandwidth.pairs`` gather
+    prices every segment, and one segmented max folds each key's segments
+    into its row.
+    """
+    cand: list[int] = []
+    # ``(home index, key, offset into the output, width)`` per row
+    rows: list[tuple[int, LtdKey, int, int]] = []
+    # ``source, megabits, row offset, offset into cand, width`` of each
+    # transfer that costs anything, flat
+    segments: list[float] = []
+    size = 0
+    for h, (home_id, ids, keys) in enumerate(homes):
+        first, width = len(cand), len(ids)
+        cand.extend(ids)
+        for key in keys:
+            image_mb, inputs = key
+            for src, mb in ((home_id, image_mb), *inputs):
+                if mb > 0.0:
+                    segments.extend((src, mb, size, first, width))
+            rows.append((h, key, size, width))
+            size += width
+    out = np.zeros(size)
+    if segments:
+        seg = np.array(segments, dtype=np.float64).reshape(-1, 5)
+        src, at, cand_at, n = seg[:, [0, 2, 3, 4]].astype(np.int64).T
+        # Each pair's candidate index within its segment.
+        k = np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n)
+        srcs = np.repeat(src, n)
+        dsts = np.array(cand, dtype=np.int64)[np.repeat(cand_at, n) + k]
+        bw, lat = bandwidth.pairs(srcs, dsts)
+        with np.errstate(divide="ignore"):  # a zero-bandwidth pair costs inf
+            t = np.repeat(seg[:, 1], n) / bw + lat
+        t[srcs == dsts] = 0.0
+        np.maximum.at(out, np.repeat(at, n) + k, t)
+    flat = out.tolist()
+    result: list[dict] = [{} for _ in homes]
+    for h, key, a, m in rows:
+        result[h][key] = flat[a : a + m] if m <= _SCALAR_MAX else out[a : a + m]
+    return result
 
 
 class ResourceView:
     """Candidate resource nodes as seen by one scheduler in one cycle.
+
+    Eq. (4) rows come from the cycle's :func:`ltd_rows` batch through
+    :meth:`seed_ltd`; a key the batch did not cover is evaluated once, by
+    the same function for this view alone.
 
     Parameters
     ----------
@@ -230,18 +225,15 @@ class ResourceView:
         #: home's gossip RSS record) applied on every ``add_load``.
         self.writeback = writeback
         self._index = {nid: k for k, nid in enumerate(self._ids)}
-        self._scalar = (
-            len(self._ids) <= _SCALAR_MAX
-            and hasattr(bandwidth, "rows")
-            and getattr(bandwidth, "scalar_ok", True)
-        )
+        self._scalar = len(self._ids) <= _SCALAR_MAX
         # Memoized per-candidate queueing delays (loads[k] / caps[k]) for
-        # the scalar fast path: a scheduling cycle evaluates many tasks
+        # the Python argmin: a scheduling cycle evaluates many tasks
         # against the same view between load mutations, and ``add_load``
         # refreshes the single affected slot with the identical division.
         self._qd: list[float] | None = None
-        # Eq. (4) per distinct (image_mb, inputs), filled by ``_ltd``.
-        self._ltd_memo: dict[tuple, list[float] | np.ndarray] = {}
+        # Eq. (4) row per distinct (image_mb, inputs): seeded from the
+        # cycle batch by ``seed_ltd``, filled on a miss by ``_ltd``.
+        self._ltd_memo: dict[LtdKey, list[float] | np.ndarray] = {}
 
     @classmethod
     def trusted(
@@ -269,11 +261,7 @@ class ResourceView:
         view.home_id = home_id
         view.writeback = writeback
         view._index = {nid: k for k, nid in enumerate(ids)}
-        view._scalar = (
-            len(ids) <= _SCALAR_MAX
-            and hasattr(bandwidth, "rows")
-            and getattr(bandwidth, "scalar_ok", True)
-        )
+        view._scalar = len(ids) <= _SCALAR_MAX
         view._qd = None
         view._ltd_memo = {}
         return view
@@ -305,66 +293,24 @@ class ResourceView:
         """R(·, p_h) for every candidate (Eq. 5's first argument)."""
         return self.loads / self.capacities
 
-    def _ltd(
-        self, image_mb: float, inputs: Sequence[TaskInput]
-    ) -> list[float] | np.ndarray:
-        """Eq. (4) for every candidate, evaluated once per view and inputs.
+    def seed_ltd(self, ids: list[int], rows: dict[LtdKey, list[float] | np.ndarray]) -> None:
+        """Adopt Eq. (4) rows that :func:`ltd_rows` evaluated over ``ids``.
 
-        LTD does not depend on loads, and a view's candidates and bandwidth
-        knowledge are fixed for its lifetime, so each distinct
-        ``(image_mb, inputs)`` is evaluated once and then reused by every
-        entry point — a list on the scalar path, an array otherwise.
-        Callers must not mutate the result.
+        Raises ``ValueError`` unless ``ids`` are this view's candidates in
+        order: rows over other candidates would misprice every transfer.
         """
-        memo_key = (image_mb, tuple(inputs))
-        ltd = self._ltd_memo.get(memo_key)
+        if ids != self._ids:
+            raise ValueError("Eq. (4) rows were evaluated over other candidates than this view's")
+        self._ltd_memo.update(rows)
+
+    def _ltd(self, image_mb: float, inputs: Sequence[TaskInput]) -> list[float] | np.ndarray:
+        """Eq. (4) for every candidate: the seeded row, else a one-key
+        :func:`ltd_rows` for this view.  Callers must not mutate it."""
+        key = (image_mb, tuple(inputs))
+        ltd = self._ltd_memo.get(key)
         if ltd is None:
-            if self._scalar:
-                ltd = self._ltd_scalar(image_mb, inputs)
-            else:
-                ltd = self._ltd_array(image_mb, inputs)
-            self._ltd_memo[memo_key] = ltd
-        return ltd
-
-    def _ltd_array(self, image_mb: float, inputs: Sequence[TaskInput]) -> np.ndarray:
-        """Eq. (4) over the candidate array, one NumPy pass per source."""
-        ids = self.ids
-        ltd = np.zeros(len(ids))
-        if image_mb > 0.0:
-            bw = self.bandwidth.bw_between(self.home_id, ids)
-            t = image_mb / bw + self.bandwidth.latency_between(self.home_id, ids)
-            t[ids == self.home_id] = 0.0
-            np.maximum(ltd, t, out=ltd)
-        for src, mb in inputs:
-            if mb <= 0.0:
-                continue
-            bw = self.bandwidth.bw_between(src, ids)
-            t = mb / bw + self.bandwidth.latency_between(src, ids)
-            t[ids == src] = 0.0
-            np.maximum(ltd, t, out=ltd)
-        return ltd
-
-    def _ltd_scalar(self, image_mb: float, inputs: Sequence[TaskInput]) -> list[float]:
-        """Pure-Python :meth:`_ltd_array`: every operation (division,
-        addition, max) matches the vectorized float64 expression bit for
-        bit."""
-        ids = self._ids
-        rows = self.bandwidth.rows
-        inf = np.inf
-        ltd = [0.0] * len(ids)
-        # The image from home first, then each dependent input in order —
-        # the accumulation order of _ltd_array (max is order-exact anyway).
-        for src, mb in ((self.home_id, image_mb), *inputs):
-            if not mb > 0.0:
-                continue
-            bw_row, lat_row = rows(src)
-            for k, nid in enumerate(ids):
-                if nid != src:
-                    b = bw_row[nid]
-                    # b == 0 must yield inf like numpy division, not raise.
-                    t = mb / b + lat_row[nid] if b else inf
-                    if t > ltd[k]:
-                        ltd[k] = t
+            (rows,) = ltd_rows(self.bandwidth, [(self.home_id, self._ids, [key])])
+            ltd = self._ltd_memo[key] = rows[key]
         return ltd
 
     def ltd_vector(self, image_mb: float, inputs: Sequence[TaskInput]) -> np.ndarray:
@@ -378,7 +324,7 @@ class ResourceView:
         st = np.maximum(self.queue_delays(), self._ltd(image_mb, inputs))
         return st + load / self.capacities
 
-    # ---- scalar fast path --------------------------------------------------
+    # ---- Python argmin (views of up to _SCALAR_MAX candidates) -------------
     def _best_scalar(
         self, load: float, image_mb: float, inputs: Sequence[TaskInput]
     ) -> tuple[int, int, float]:

@@ -57,8 +57,10 @@ def compute_priorities(
     """Evaluate Eq. (7)/(8) for one workflow against a resource view.
 
     Each DAG edge is visited exactly once in the backward pass and each
-    schedule point costs one vectorized FT evaluation over the candidate
-    set, giving the O(θ(f)) + O(|spset|·|RSS|) complexity of §III.E.
+    schedule point costs one Formula-(9) minimum over the candidate set
+    (``view.best_ft``, whose transfer term the cycle's Eq. (4) batch has
+    already evaluated), giving the O(θ(f)) + O(|spset|·|RSS|) complexity
+    of §III.E.
     """
     after = rest_path_after(wx.wf, avg_capacity, avg_bandwidth)
     rpm: dict[int, float] = {}

@@ -478,8 +478,7 @@ class P2PGridSystem:
         for wx in arrived:
             self._absorb_virtual_and_check(wx)
         if self.config.immediate_dispatch and not self.bundle.full_ahead:
-            for home in self.home_nodes:
-                self.phase1.run_for_home(home.nid)
+            self.phase1.plan_homes(home.nid for home in self.home_nodes)
 
     # --------------------------------------------------------- JIT dispatching
     def execute_decision(self, decision: DispatchDecision) -> bool:
@@ -635,7 +634,7 @@ class P2PGridSystem:
             and wx.status is WorkflowStatus.RUNNING
             and wx.schedule_points
         ):
-            self.phase1.run_for_home(wx.home_id, only_wids={wx.wf.wid})
+            self.phase1.run_for_home(wx.home_id, [wx])
 
     def _absorb_virtual_and_check(self, wx: WorkflowExecution) -> None:
         """Complete virtual schedule points instantly; detect completion."""

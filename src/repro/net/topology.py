@@ -381,14 +381,25 @@ class Topology:
         row[u] = 0.0
         return row
 
-    def latency_between(self, src: int, targets: np.ndarray) -> np.ndarray:
-        """Latency from ``src`` to each target id (vectorized)."""
+    def bandwidth_between(self, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+        """:meth:`bandwidth` of each pair ``(srcs[i], dsts[i])``: matrix
+        reads in exact mode, pair lookups in scalable mode."""
+        if self._bw_mat is not None:
+            return self._bw_mat[srcs, dsts]
+        pairs = zip(srcs.tolist(), dsts.tolist())
+        return np.array([self.bandwidth(u, v) for u, v in pairs], dtype=np.float64)
+
+    def latency_between(self, srcs, dsts) -> np.ndarray:
+        """:meth:`latency` of each pair ``(srcs[i], dsts[i])``; ``srcs`` may
+        be one id.  Scalable mode takes the landmark minimum one landmark
+        row at a time, so no (landmarks x pairs) block is built."""
         if self._lat_mat is not None:
-            return self._lat_mat[src, targets]
-        t = np.asarray(targets)
+            return self._lat_mat[srcs, dsts]
         lm = self._lat_lm
-        out = (lm[:, t] + lm[:, src][:, None]).min(axis=0)
-        out[t == src] = 0.0
+        out = lm[0][srcs] + lm[0][dsts]
+        for row in lm[1:]:
+            np.minimum(out, row[srcs] + row[dsts], out=out)
+        out[srcs == dsts] = 0.0
         return out
 
     def bandwidth_columns(self, ids: np.ndarray) -> np.ndarray:

@@ -46,18 +46,7 @@ def expected_times(
 def _ranks(
     wf: Workflow, avg_capacity: float, avg_bandwidth: float
 ) -> tuple[dict[int, float], dict[int, float]]:
-    """``(after, rank)`` per task — the shared backward sweep, memoized.
-
-    The DAG is immutable while the eet/ett terms depend only on the two
-    gossip-aggregated averages, so the last evaluation is cached per
-    workflow keyed on those exact values: repeated scheduling passes at the
-    same instant (immediate dispatch, pooled heuristics, figure harnesses)
-    reuse it instead of re-deriving every transfer-time term.  Callers
-    treat the returned dicts as read-only.
-    """
-    cached = getattr(wf, "_rank_cache", None)
-    if cached is not None and cached[0] == avg_capacity and cached[1] == avg_bandwidth:
-        return cached[2], cached[3]
+    """``(after, rank)`` per task — the shared backward sweep."""
     if avg_capacity <= 0:
         raise ValueError(f"avg_capacity must be positive, got {avg_capacity}")
     if avg_bandwidth <= 0:
@@ -74,7 +63,6 @@ def _ranks(
                 best = cand
         after[tid] = best
         rank[tid] = tasks[tid].load / avg_capacity + best
-    wf._rank_cache = (avg_capacity, avg_bandwidth, after, rank)
     return after, rank
 
 

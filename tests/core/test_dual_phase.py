@@ -51,7 +51,7 @@ def test_run_for_home_dispatches_schedule_points():
     )
     wx = system.executions["c"]
     assert wx.schedule_points == {0}
-    system.phase1.run_for_home(0)
+    system.phase1.run_for_home(0, [wx])
     assert wx.schedule_points == set()
     assert 0 in wx.dispatched
     assert system.phase1.dispatches == 1
@@ -72,7 +72,7 @@ def test_dead_target_skipped_and_record_evicted():
         system.nodes[nid].alive = False
     # Force the decision onto a dead node by making home very slow/busy.
     system.nodes[0].capacity = 0.001
-    system.phase1.run_for_home(0)
+    system.phase1.run_for_home(0, system.phase1.plannable(0))
     wx = system.executions["c"]
     if system.phase1.dead_target_skips:
         # Task stayed a schedule point, and the stale record is gone.
@@ -89,7 +89,7 @@ def test_only_wids_restricts_planning():
         ExperimentConfig(n_nodes=20, load_factor=1, total_time=3600.0, seed=13),
         workflows=[(0, wa), (0, wb)],
     )
-    system.phase1.run_for_home(0, only_wids={"a"})
+    system.phase1.run_for_home(0, [system.executions["a"]])
     assert system.executions["a"].dispatched
     assert not system.executions["b"].dispatched
 

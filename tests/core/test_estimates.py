@@ -16,11 +16,8 @@ class FlatBandwidth:
     def __init__(self, bw=10.0):
         self.bw = bw
 
-    def bw_between(self, src, targets):
-        return np.full(len(targets), self.bw)
-
-    def latency_between(self, src, targets):
-        return np.zeros(len(targets))
+    def pairs(self, srcs, dsts):
+        return np.full(len(srcs), self.bw), np.zeros(len(srcs))
 
 
 def _view(ids=(0, 1, 2), caps=(1.0, 2.0, 4.0), loads=(0.0, 0.0, 0.0), bw=10.0, home=0):
@@ -138,10 +135,8 @@ class TestValidation:
 
 
 class CountingBandwidth:
-    """Random dense bandwidth/latency that counts Eq. (4) lookups per source.
-
-    Vector-only (no ``rows``), so views over it take the NumPy path.
-    """
+    """Random dense bandwidth/latency that counts Eq. (4) pair lookups per
+    source, gathered as arrays (as an exact topology's matrices answer)."""
 
     def __init__(self, n=12, seed=3):
         rng = np.random.default_rng(seed)
@@ -149,22 +144,22 @@ class CountingBandwidth:
         self.lat = rng.uniform(0.0, 0.2, (n, n))
         self.lookups: Counter[int] = Counter()
 
-    def bw_between(self, src, targets):
-        self.lookups[src] += 1
-        return self.bw[src, targets]
-
-    def latency_between(self, src, targets):
-        return self.lat[src, targets]
+    def pairs(self, srcs, dsts):
+        self.lookups.update(srcs.tolist())
+        return self.bw[srcs, dsts], self.lat[srcs, dsts]
 
 
 class CountingScalarBandwidth(CountingBandwidth):
-    """The same knowledge through ``rows``, so views take the scalar path."""
+    """The same knowledge looked up one pair at a time (as a scalable
+    topology answers)."""
 
-    scalar_ok = True
-
-    def rows(self, src):
-        self.lookups[src] += 1
-        return self.bw[src].tolist(), self.lat[src].tolist()
+    def pairs(self, srcs, dsts):
+        self.lookups.update(srcs.tolist())
+        uv = list(zip(srcs.tolist(), dsts.tolist()))
+        return (
+            np.array([self.bw[u, v] for u, v in uv]),
+            np.array([self.lat[u, v] for u, v in uv]),
+        )
 
 
 #: (image Mb, inputs) per task; the first repeats later, and sources 9 and
@@ -187,14 +182,15 @@ def _counting_view(provider, loads=None):
 
 
 def _expected_lookups(home=0):
-    """One lookup per transfer source of each *distinct* task."""
+    """One pair lookup per transfer source and candidate of each *distinct*
+    task."""
     want: Counter[int] = Counter()
     for image, inputs in {(image, tuple(inputs)) for image, inputs in _TASKS}:
         if image > 0.0:
-            want[home] += 1
+            want[home] += len(_IDS)
         for src, mb in inputs:
             if mb > 0.0:
-                want[src] += 1
+                want[src] += len(_IDS)
     return want
 
 
@@ -236,8 +232,8 @@ class TestLtdMemo:
 
     def test_memoized_ltd_equals_a_fresh_vector_views(self, provider_cls):
         # One view answers every task from its memo; the reference is a new
-        # NumPy-path view per task, so neither memo keys nor the scalar
-        # arithmetic can drift from Eq. (4) unnoticed.
+        # view per task over the array-gathering provider, so neither memo
+        # keys nor the provider's lookup order can drift unnoticed.
         view = _counting_view(provider_cls())
         for image, inputs in _TASKS + _TASKS[::-1]:
             reference = _counting_view(CountingBandwidth())

@@ -13,11 +13,8 @@ class FlatBandwidth:
     def __init__(self, bw: float):
         self.bw = bw
 
-    def bw_between(self, src, targets):
-        return np.full(len(targets), self.bw)
-
-    def latency_between(self, src, targets):
-        return np.zeros(len(targets))
+    def pairs(self, srcs, dsts):
+        return np.full(len(srcs), self.bw), np.zeros(len(srcs))
 
 
 views = st.builds(

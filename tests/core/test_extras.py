@@ -15,11 +15,8 @@ from repro.workflow.generator import chain_workflow
 
 
 class FlatBandwidth:
-    def bw_between(self, src, targets):
-        return np.full(len(targets), 10.0)
-
-    def latency_between(self, src, targets):
-        return np.zeros(len(targets))
+    def pairs(self, srcs, dsts):
+        return np.full(len(srcs), 10.0), np.zeros(len(srcs))
 
 
 def _ctx(loads=(0.0, 500.0, 500.0)):

@@ -17,11 +17,8 @@ from repro.workflow.generator import chain_workflow, fork_join_workflow
 
 
 class FlatBandwidth:
-    def bw_between(self, src, targets):
-        return np.full(len(targets), 10.0)
-
-    def latency_between(self, src, targets):
-        return np.zeros(len(targets))
+    def pairs(self, srcs, dsts):
+        return np.full(len(srcs), 10.0), np.zeros(len(srcs))
 
 
 def _wx(wf, home=0):

@@ -29,20 +29,15 @@ ALL_BUNDLES = algorithm_names()
 
 
 class FlatBandwidth:
-    """Uniform bandwidth, tiny latency (vector-only provider)."""
+    """Uniform bandwidth, tiny latency."""
 
     def __init__(self, bw: float = 10.0):
         self.bw = bw
 
-    def bw_between(self, src, targets):
+    def pairs(self, srcs, dsts):
         import numpy as np
 
-        return np.full(len(targets), self.bw)
-
-    def latency_between(self, src, targets):
-        import numpy as np
-
-        return np.full(len(targets), 0.01)
+        return np.full(len(srcs), self.bw), np.full(len(srcs), 0.01)
 
 
 def _random_workflow(rnd: random.Random, wid: str) -> Workflow:

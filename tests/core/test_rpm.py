@@ -12,11 +12,8 @@ from repro.workflow.generator import chain_workflow, fork_join_workflow
 
 
 class FlatBandwidth:
-    def bw_between(self, src, targets):
-        return np.full(len(targets), 10.0)
-
-    def latency_between(self, src, targets):
-        return np.zeros(len(targets))
+    def pairs(self, srcs, dsts):
+        return np.full(len(srcs), 10.0), np.zeros(len(srcs))
 
 
 def _view(caps=(1.0, 2.0, 4.0), loads=(0.0, 0.0, 0.0)):
@@ -80,11 +77,10 @@ def test_data_location_affects_rpm():
     wx.mark_finished(0, 1, 0.0)  # data on node 1
 
     class SlowFrom1(FlatBandwidth):
-        def bw_between(self, src, targets):
-            bw = np.full(len(targets), 10.0)
-            if src == 1:
-                bw[:] = 0.5
-            return bw
+        def pairs(self, srcs, dsts):
+            bw, lat = super().pairs(srcs, dsts)
+            bw[srcs == 1] = 0.5
+            return bw, lat
 
     fast = compute_priorities(wx, _view(), 1.0, 1.0).makespan
     slow_view = ResourceView([0, 1, 2], [1.0, 2.0, 4.0], [0.0] * 3,

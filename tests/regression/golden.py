@@ -238,8 +238,9 @@ def load_trace_golden() -> dict:
 # moves, disappears or fires in a different order fails exactly.  The
 # shapes cover every hook: phase-1 dispatch and phase-2 start, full-ahead
 # dispatch (heft), every churn mode and recovery policy, session churn,
-# contended transfers, immediate dispatch, oracle views and streaming
-# arrivals.
+# contended transfers, immediate dispatch, oracle views, oracle bandwidth
+# (the ground-truth provider instead of the landmark estimates) and
+# streaming arrivals.
 
 EVENT_STREAM_GOLDEN_PATH = Path(__file__).with_name("golden_event_streams.json")
 
@@ -267,6 +268,7 @@ EVENT_STREAM_SHAPES: dict[str, dict] = {
     "dheft-oracle": dict(algorithm="dheft", rss_mode="oracle"),
     "poisson-steady": dict(scenario="poisson-steady"),
     "heft": dict(algorithm="heft"),
+    "oracle-bandwidth": dict(use_landmark_bandwidth=False),
 }
 
 
