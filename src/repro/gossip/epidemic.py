@@ -130,8 +130,9 @@ class EpidemicGossip:
 
         All senders' fan-out draws and digest picks happen as single
         batches, and every delivery merges into *start-of-round* state in
-        one :meth:`RecordTable.merge`.  Ties (same record owner, same
-        stamp) go to the incumbent, then to the earliest sender.
+        one :meth:`RecordTable.merge`.  The deliveries reach it in sender
+        order, so of same-stamp copies of a record (which can differ in
+        hop count) the incumbent wins, then the earliest sender's.
         """
         senders = self.overlay.live_array()
         if senders.size:
@@ -172,20 +173,19 @@ class EpidemicGossip:
         self.records_shipped += int((t_count * dg_ok.sum(axis=1)).sum())
 
         # Deliveries: every (sender, target, digest entry) triple, minus
-        # records about the target itself.  ``st`` is the flat (sender,
-        # target) index and ``dg`` the flat (sender, digest entry) index.
+        # records about the target itself, in sender order (``nonzero``
+        # walks the grid row by row).  ``st`` is the flat (sender, target)
+        # index and ``dg`` the flat (sender, digest entry) index.
         ok3 = t_ok[:, :, None] & dg_ok[:, None, :]
         st, di = ok3.reshape(-1, width).nonzero()
         d_tgt = targets.take(st)
-        si = st // targets.shape[1]
-        dg = si * width + di
+        dg = (st // targets.shape[1]) * width + di
         d_key = dg_key.take(dg)
         hit = d_key != d_tgt
-        si, dg = si[hit], dg[hit]
+        dg = dg[hit]
         kept, evicted = t.merge(
             d_tgt[hit],
             d_key[hit],
-            si + 1,
             dg_f.reshape(3, -1).take(dg, axis=1),
             dg_ttl.take(dg)[None],
         )

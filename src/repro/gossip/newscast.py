@@ -19,6 +19,9 @@ round: every node's partner pick is a single batched draw
 (:meth:`~repro.sim.fastrand.FastSampler.random_batch` keys + a row argmin),
 and all pairwise exchanges merge at once into start-of-round state through
 :meth:`RecordTable.merge`, so within one cycle no exchange sees another's.
+The merge breaks a stamp tie by delivery order, and here that order cannot
+matter: a descriptor is its peer and its stamp, so deliveries tied on
+``(target, peer, stamp)`` are one descriptor, whichever of them wins.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ class NewscastOverlay:
 
         # Degenerate caches (all entries churned out): reseed from a
         # random live candidate, in ascending node order.
-        empty = np.flatnonzero(~has)
+        empty = (~has).nonzero()[0]
         if empty.size and s >= 2:
             live_list = live_ids.tolist()
             for r in empty.tolist():
@@ -190,17 +193,15 @@ class NewscastOverlay:
             return
         self.shuffles += m
         # Row k of ``src`` sends its cache and a fresh descriptor of itself
-        # to row k of ``dst``; both sides of pair k deliver at pref k + 1.
+        # to row k of ``dst``.
         src, dst = np.concatenate([J, P]), np.concatenate([P, J])
-        rank = np.tile(np.arange(1, m + 1, dtype=np.int64), 2)
         r, cells = t.cells(src)
         sent_key, sent_f, _ = t.take(cells)
         tgt = np.concatenate([dst[r], dst])
         key = np.concatenate([sent_key, src])
         stamp = np.concatenate([sent_f[0], np.full(2 * m, now)])
-        pref = np.concatenate([rank[r], rank])
         keep = key != tgt  # a node never caches itself
-        t.merge(tgt[keep], key[keep], pref[keep], stamp[None, keep])
+        t.merge(tgt[keep], key[keep], stamp[None, keep])
 
     def _reseed(self, node_id: int, peer: int, now: float) -> None:
         """Give a cache with no live entry one live peer: append it, or

@@ -89,20 +89,20 @@ class RecordTable:
         self,
         tgt: np.ndarray,
         key: np.ndarray,
-        pref: np.ndarray,
         floats: np.ndarray,
         ints: np.ndarray | None = None,
     ) -> tuple[int, int]:
         """Merge one round of deliveries into their target rows.
 
-        ``tgt``/``key``/``pref`` and the columns of ``floats``
-        (``n_float × k``) and ``ints`` (``n_int × k``) describe ``k``
-        delivered records.  The current records of every delivery target
-        join the pile at pref 0, so an incumbent beats a same-stamp
-        delivery; deliveries need ``pref >= 1`` and distinct
-        ``(tgt, key, pref)``.  Per row the freshest record of each key
-        wins and the ``cap`` freshest keys are kept, written in
-        ``(stamp desc, key)`` order (see :func:`topk_merge`).
+        ``tgt``/``key`` and the columns of ``floats`` (``n_float × k``) and
+        ``ints`` (``n_int × k``; ``None`` for a table without int planes)
+        describe ``k`` delivered records.  Per row the freshest record of
+        each key wins and the ``cap`` freshest keys are kept, written in
+        ``(stamp desc, key)`` order.  The pile :func:`topk_merge` ranks
+        holds the targets' current records, then the deliveries in the
+        caller's order, so a stamp tie goes to the incumbent, then to the
+        earlier delivery.  Only keys and stamps enter the pile: the other
+        payload planes are gathered once, for the survivors alone.
 
         Returns ``(kept, evicted)``: deliveries that survived, and
         deduplicated records dropped by the capacity cut.
@@ -111,29 +111,29 @@ class RecordTable:
         # beats a hash-based np.unique over the deliveries.
         flag = np.zeros(self.lens.size, dtype=bool)
         flag[tgt] = True
-        touched = np.flatnonzero(flag)
+        touched = flag.nonzero()[0]
         r, cells = self.cells(touched)
         n_cur = int(r.size)
-        cur_key, cur_f, cur_i = self.take(cells)
-        if ints is None:
-            ints = np.zeros((cur_i.shape[0], key.size), dtype=np.int64)
-        a_tgt = np.concatenate([touched[r], tgt])
-        a_key = np.concatenate([cur_key, key])
-        a_f = np.concatenate([cur_f, floats], axis=1)
-        a_i = np.concatenate([cur_i, ints], axis=1)
-        a_pref = np.concatenate([np.zeros(n_cur, dtype=np.int64), pref])
-        # The pile holds the deliveries now: free the caller's copies
-        # before the two sorts.
-        del tgt, key, pref, floats, ints
-        sel, row, slot, uniq, counts, evicted = topk_merge(
-            a_tgt, a_key, a_f[0], a_pref, self.cap
+        a_key = np.concatenate([self._kflat.take(cells), key])
+        a_ts = np.concatenate([self._fflat[0].take(cells), floats[0]])
+        sel, row, slot, evicted = topk_merge(
+            np.concatenate([touched.take(r), tgt]), a_key, a_ts, self.cap
         )
+        # Plane by plane: a 1-D take or scatter beats 2-D fancy indexing.
         out = row * self.cap + slot
         self._kflat[out] = a_key.take(sel)
-        self._fflat[:, out] = a_f.take(sel, axis=1)
-        self._iflat[:, out] = a_i.take(sel, axis=1)
-        self.lens[uniq] = counts
-        return int((sel >= n_cur).sum()), evicted
+        self._fflat[0][out] = a_ts.take(sel)
+        fresh = sel >= n_cur
+        if len(self._fflat) > 1 or len(self._iflat):
+            old = ~fresh
+            src, out_old = cells.take(sel[old]), out[old]
+            col, out_new = sel[fresh] - n_cur, out[fresh]
+            rest = [*floats[1:], *(() if ints is None else ints)]
+            for plane, delivered in zip([*self._fflat[1:], *self._iflat], rest, strict=True):
+                plane[out_old] = plane.take(src)
+                plane[out_new] = delivered.take(col)
+        self.lens[touched] = np.bincount(row, minlength=self.lens.size).take(touched)
+        return int(np.count_nonzero(fresh)), evicted
 
     def fill(self, row: int, key: np.ndarray, floats: np.ndarray) -> None:
         """Replace one row of a table without int planes by the ``cap``
