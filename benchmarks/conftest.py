@@ -5,22 +5,25 @@ deterministic (fixed seeds), so each bench runs its simulation exactly once
 (``benchmark.pedantic(..., rounds=1)``) and then asserts the paper's
 qualitative *shape* claims on the result — who wins, by roughly what
 factor, how trends move.  Absolute numbers differ from the paper (different
-testbed), which is expected; EXPERIMENTS.md records the comparison.
+testbed), which is expected; ``scripts/render_experiments.py`` prints the
+comparison from a ``scripts/collect_experiments.py`` collection.
 
-The benches run a reduced scale (``BENCH`` below) so the whole suite
-finishes in minutes; the CLI regenerates any figure at ``medium``/``paper``
-scale.
+The figure benches run their ``FIGURES`` entry's grid
+(:mod:`repro.experiments.figures`) over a reduced scale (``BENCH`` below)
+so the whole suite finishes in minutes; the CLI regenerates any figure at
+``medium``/``paper`` scale.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Mapping, Sequence
 
 import pytest
 
-from repro.core.heuristics.registry import PAPER_ALGORITHMS
 from repro.experiments.campaign import CampaignRunner, RunSpec
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.figures import FIGURES, figure_cells
 from repro.grid.system import P2PGridSystem
 
 #: Fan-out for the sweep fixtures (the timed benches themselves always run
@@ -67,18 +70,22 @@ def run_one(**overrides):
     return P2PGridSystem(bench_config(**overrides)).run()
 
 
-def run_sweep(variants: dict[str, dict], **common) -> dict:
-    """Run named bench-config variants through the campaign runner.
+def run_sweep(variants: Mapping[str, dict] | Sequence[RunSpec], **common) -> dict:
+    """Run bench cells through the campaign runner.
 
-    ``variants`` maps a label to its config overrides; ``common`` overrides
-    apply to every variant.  Fans out across :data:`BENCH_JOBS` processes
-    and returns ``label -> RunResult`` — bit-identical to running each
-    variant serially via :func:`run_one`.
+    ``variants`` is either a list of :class:`RunSpec` (e.g. a ``FIGURES``
+    entry's :func:`figure_cells`) or a mapping of label to
+    :func:`bench_config` overrides, with ``common`` overrides applied to
+    every variant.  Fans out across :data:`BENCH_JOBS` processes and
+    returns ``label -> RunResult`` in cell order — bit-identical to running
+    each cell serially via :func:`run_one`.
     """
-    specs = [
-        RunSpec(label, bench_config(**{**common, **overrides}))
-        for label, overrides in variants.items()
-    ]
+    specs = variants
+    if isinstance(variants, Mapping):
+        specs = [
+            RunSpec(label, bench_config(**{**common, **overrides}))
+            for label, overrides in variants.items()
+        ]
     runner = CampaignRunner(
         jobs=min(BENCH_JOBS, len(specs)),
         cache_dir=BENCH_CACHE_DIR,
@@ -89,8 +96,9 @@ def run_sweep(variants: dict[str, dict], **common) -> dict:
 
 @pytest.fixture(scope="session")
 def static_suite():
-    """One static run per paper algorithm, shared by Fig. 4/5/6 benches."""
-    return run_sweep({alg: {"algorithm": alg} for alg in PAPER_ALGORITHMS})
+    """Fig. 4/5/6's grid (one static run per paper algorithm), shared by
+    their benches."""
+    return run_sweep(figure_cells(FIGURES["4"], bench_config()))
 
 
 def once(benchmark, fn):

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import once, run_one
+from conftest import bench_config, once, run_one, run_sweep
+
+from repro.experiments.figures import FIGURES, figure_cells
 
 pytestmark = pytest.mark.slow
 
@@ -20,7 +22,8 @@ SCALES = (50, 100, 200)
 
 @pytest.fixture(scope="module")
 def sweep():
-    return {n: run_one(algorithm="dsmf", n_nodes=n) for n in SCALES}
+    results = run_sweep(figure_cells(FIGURES["11"], bench_config(), x=SCALES)).values()
+    return dict(zip(SCALES, results))
 
 
 def test_bench_fig11_scalability(benchmark, sweep):

@@ -10,7 +10,9 @@ Paper claims reproduced here:
 from __future__ import annotations
 
 import pytest
-from conftest import once, run_one
+from conftest import bench_config, once, run_one, run_sweep
+
+from repro.experiments.figures import FIGURES, figure_cells
 
 pytestmark = pytest.mark.slow
 
@@ -19,7 +21,8 @@ DFS = (0.0, 0.1, 0.2, 0.4)
 
 @pytest.fixture(scope="module")
 def sweep():
-    return {df: run_one(algorithm="dsmf", dynamic_factor=df) for df in DFS}
+    results = run_sweep(figure_cells(FIGURES["12"], bench_config(), legend=DFS)).values()
+    return dict(zip(DFS, results))
 
 
 def test_bench_fig12_churn_throughput(benchmark, sweep):

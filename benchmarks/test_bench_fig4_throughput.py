@@ -11,7 +11,7 @@ import pytest
 from conftest import BENCH, once, run_one
 
 from repro.core.heuristics.registry import PAPER_ALGORITHMS
-from repro.experiments.figures import fig4_throughput
+from repro.experiments.figures import FIGURES, fold_figure
 
 pytestmark = pytest.mark.slow
 
@@ -45,7 +45,7 @@ def test_bench_fig4_throughput(benchmark, static_suite):
 
 
 def test_fig4_harness_produces_full_series(static_suite):
-    fig = fig4_throughput(results=static_suite)
+    fig = fold_figure(FIGURES["4"], static_suite)
     assert set(fig.series) == set(PAPER_ALGORITHMS)
     for xs, ys in fig.series.values():
         assert len(xs) == len(ys) > 4

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from conftest import once, run_one
 
-from repro.experiments.figures import fig5_finish_time
+from repro.experiments.figures import FIGURES, fold_figure
 
 pytestmark = pytest.mark.slow
 
@@ -41,7 +41,7 @@ def test_bench_fig5_finish_time(benchmark, static_suite):
 
 def test_fig5_series_monotone_after_warmup(static_suite):
     """Cumulative ACT rises as longer workflows complete."""
-    fig = fig5_finish_time(results=static_suite)
+    fig = fold_figure(FIGURES["5"], static_suite)
     for alg, (xs, ys) in fig.series.items():
         nonzero = [y for y in ys if y > 0]
         assert nonzero, alg

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 from conftest import once, run_one
 
-from repro.experiments.figures import fig6_efficiency
+from repro.experiments.figures import FIGURES, fold_figure
 
 pytestmark = pytest.mark.slow
 
@@ -32,6 +32,6 @@ def test_bench_fig6_efficiency(benchmark, static_suite):
 
 
 def test_fig6_values_physical(static_suite):
-    fig = fig6_efficiency(results=static_suite)
+    fig = fold_figure(FIGURES["6"], static_suite)
     for alg, (_, ys) in fig.series.items():
         assert all(0.0 <= y <= 2.0 for y in ys), alg

@@ -8,7 +8,9 @@ algorithms as competition intensifies (the paper highlights lf = 6..8).
 from __future__ import annotations
 
 import pytest
-from conftest import once, run_one
+from conftest import bench_config, once, run_one, run_sweep
+
+from repro.experiments.figures import FIGURES, figure_cells
 
 pytestmark = pytest.mark.slow
 
@@ -18,11 +20,9 @@ ALGS = ("dsmf", "min-min", "max-min", "dheft")
 
 @pytest.fixture(scope="module")
 def sweep():
-    return {
-        (alg, lf): run_one(algorithm=alg, load_factor=lf)
-        for alg in ALGS
-        for lf in LOAD_FACTORS
-    }
+    specs = figure_cells(FIGURES["7"], bench_config(), legend=ALGS, x=LOAD_FACTORS)
+    results = run_sweep(specs).values()
+    return dict(zip(((alg, lf) for lf in LOAD_FACTORS for alg in ALGS), results))
 
 
 def test_bench_fig7_load_factor(benchmark, sweep):

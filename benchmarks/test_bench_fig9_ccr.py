@@ -8,9 +8,9 @@ algorithms across all four combinations.
 from __future__ import annotations
 
 import pytest
-from conftest import once, run_one
+from conftest import bench_config, once, run_one, run_sweep
 
-from repro.experiments.figures import CCR_CASES
+from repro.experiments.figures import CCR_CASES, FIGURES, figure_cells
 
 pytestmark = pytest.mark.slow
 
@@ -19,13 +19,8 @@ ALGS = ("dsmf", "min-min", "dheft")
 
 @pytest.fixture(scope="module")
 def sweep():
-    out = {}
-    for name, loads, data in CCR_CASES:
-        for alg in ALGS:
-            out[(alg, name)] = run_one(
-                algorithm=alg, load_range=loads, data_range=data
-            )
-    return out
+    results = run_sweep(figure_cells(FIGURES["9"], bench_config(), legend=ALGS)).values()
+    return dict(zip(((alg, c[0]) for c in CCR_CASES for alg in ALGS), results))
 
 
 def test_bench_fig9_ccr(benchmark, sweep):

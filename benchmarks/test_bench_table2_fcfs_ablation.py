@@ -5,7 +5,8 @@ Paper numbers: min-min/max-min/sufferage/DHEFT converge to ACT
 32874/33746/32781/32636 with FCFS (a ~2–8% penalty) — "FCFS is not
 suggested to take over the ready task scheduling work."
 
-What reproduces robustly in our simulator (recorded in EXPERIMENTS.md):
+What reproduces robustly in our simulator (also recorded in the "Table II"
+section that ``scripts/render_experiments.py`` renders):
 
 * the *DSMF* second phase (Formula 10) is worth a double-digit ACT
   improvement over FCFS — the heart of the dual-phase design;
@@ -19,7 +20,9 @@ What reproduces robustly in our simulator (recorded in EXPERIMENTS.md):
 from __future__ import annotations
 
 import pytest
-from conftest import once, run_one
+from conftest import bench_config, once, run_one, run_sweep
+
+from repro.experiments.figures import FIGURES, figure_cells
 
 pytestmark = pytest.mark.slow
 
@@ -28,11 +31,8 @@ BASES = ("min-min", "max-min", "sufferage", "dheft", "dsmf")
 
 @pytest.fixture(scope="module")
 def sweep():
-    out = {}
-    for base in BASES:
-        out[base] = run_one(algorithm=base)
-        out[f"{base}-fcfs"] = run_one(algorithm=f"{base}-fcfs")
-    return out
+    specs = figure_cells(FIGURES["table2"], bench_config(), x=BASES)
+    return {r.algorithm: r for r in run_sweep(specs).values()}
 
 
 def test_bench_table2_fcfs_ablation(benchmark, sweep):
@@ -44,8 +44,8 @@ def test_bench_table2_fcfs_ablation(benchmark, sweep):
 
     # min-min's STF and sufferage's LSF land within a few percent of FCFS
     # (the paper's own gaps are 2.8% and 7.5% — our substrate reproduces
-    # the *scale* of the effect but not reliably its sign; EXPERIMENTS.md
-    # documents this deviation).
+    # the *scale* of the effect but not reliably its sign; the rendered
+    # record documents this deviation).
     assert sweep["min-min"].act <= sweep["min-min-fcfs"].act * 1.03
     assert sweep["sufferage"].act <= sweep["sufferage-fcfs"].act * 1.05
 

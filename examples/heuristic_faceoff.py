@@ -61,7 +61,7 @@ def main() -> None:
     print("Reading: DSMF is the safe decentralized default, and its own")
     print("second phase (Formula 10) is where the big win lives; the")
     print("adapted rivals' second phases hover within a few percent of")
-    print("FCFS either way (see EXPERIMENTS.md, Table II).")
+    print("FCFS either way (see `repro figure table2`).")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ real file or directory. External URLs (http/https/mailto), pure in-page
 anchors (``#section``), and targets that climb out of the repo root
 (GitHub-web-relative paths like the CI badge's ``../../actions/...``)
 are skipped; a ``path#fragment`` target is checked for the path part
-only.
+only.  A code span that names a markdown file (`` `docs/x.md` ``) is a
+reference too: it must resolve next to the scanning file or from the
+repo root.
 
 CI runs this next to the docs build so a renamed page or a moved data
 file cannot leave a dangling reference behind::
@@ -18,7 +20,6 @@ file cannot leave a dangling reference behind::
 from __future__ import annotations
 
 import re
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +29,9 @@ ROOT = Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 _SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+
+#: A code span holding nothing but a path to a markdown file.
+_MD_SPAN = re.compile(r"`([^`\s]+\.md)`")
 
 
 def markdown_files() -> list[Path]:
@@ -51,6 +55,10 @@ def dead_links(path: Path) -> list[tuple[int, str]]:
             if not candidate.is_relative_to(ROOT):
                 continue  # forge-relative (e.g. the CI badge), not a file
             if not candidate.exists():
+                dead.append((lineno, target))
+        for match in _MD_SPAN.finditer(line):
+            target = match.group(1)
+            if not ((path.parent / target).exists() or (ROOT / target).exists()):
                 dead.append((lineno, target))
     return dead
 

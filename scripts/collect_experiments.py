@@ -1,16 +1,18 @@
 #!/usr/bin/env python
-"""Collect the data behind EXPERIMENTS.md (paper-vs-measured record).
+"""Collect the data behind the paper-vs-measured record.
 
-Runs every experiment of the paper's §IV at the requested profile through
-the campaign runner — fanned out across worker processes, with completed
-runs cached on disk so re-collections (e.g. after fixing one figure's
-rendering) only pay for what actually changed — and dumps one JSON file
-per figure into ``results/``.  ``render_experiments.py`` turns those into
-the EXPERIMENTS.md tables.
+Runs every figure and table of ``repro.experiments.figures.FIGURES`` (the
+paper's §IV) at the requested profile through the campaign runner —
+fanned out across worker processes, with completed runs cached on disk so
+re-collections (e.g. after fixing one figure's rendering) only pay for
+what actually changed — and dumps one JSON file per figure into
+``results/``.  Figures that share a grid (4–6, 7–8, 9–10, 12–14) share
+their runs.  ``render_experiments.py`` turns those files into the record.
 
 Usage::
 
     python scripts/collect_experiments.py --profile medium --jobs 20
+    python scripts/collect_experiments.py --profile small --only 12 13 14
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.heuristics.registry import PAPER_ALGORITHMS
-from repro.experiments.campaign import CampaignRun, CampaignRunner, RunSpec
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import CCR_CASES, base_config
+from repro.experiments.campaign import CampaignRun, CampaignRunner
+from repro.experiments.figures import FIGURES, base_config, figure_cells
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -52,70 +52,13 @@ def digest(run: CampaignRun) -> dict:
     }
 
 
-def build_specs(profile: str, seed: int) -> dict[str, list[RunSpec]]:
-    """One fully-resolved config per experiment of §IV, grouped by figure."""
-    groups: dict[str, list[RunSpec]] = {}
-
-    # Fig. 4/5/6 — static suite.
-    groups["fig456"] = [
-        RunSpec(alg, base_config(profile, seed=seed, algorithm=alg))
-        for alg in PAPER_ALGORITHMS
-    ]
-    # Fig. 7/8 — load factor sweep.
-    groups["fig78"] = [
-        RunSpec(
-            f"{alg}@lf{lf}",
-            base_config(profile, seed=seed, algorithm=alg, load_factor=lf),
-        )
-        for lf in (1, 2, 3, 4, 5, 6, 7, 8)
-        for alg in PAPER_ALGORITHMS
-    ]
-    # Fig. 9/10 — CCR sweep.
-    groups["fig910"] = [
-        RunSpec(
-            f"{alg}@{name}",
-            base_config(
-                profile, seed=seed, algorithm=alg, load_range=loads, data_range=data
-            ),
-        )
-        for (name, loads, data) in CCR_CASES
-        for alg in PAPER_ALGORITHMS
-    ]
-    # Fig. 11 — scalability (absolute scales, paper x-axis subset).
-    horizon = base_config(profile, seed=seed).total_time
-    groups["fig11"] = [
-        RunSpec(
-            f"dsmf@n{s}",
-            ExperimentConfig(
-                algorithm="dsmf", seed=seed, n_nodes=s, total_time=horizon
-            ),
-        )
-        for s in (100, 200, 400, 600, 800, 1000, 1400, 2000)
-    ]
-    # Fig. 12/13/14 — churn.
-    groups["fig121314"] = [
-        RunSpec(
-            f"df{df:g}",
-            base_config(profile, seed=seed, algorithm="dsmf", dynamic_factor=df),
-        )
-        for df in (0.0, 0.1, 0.2, 0.3, 0.4)
-    ]
-    # Table II — FCFS second-phase ablation (plus DSMF's own phase 2).
-    groups["table2"] = [
-        RunSpec(name, base_config(profile, seed=seed, algorithm=name))
-        for b in ("min-min", "max-min", "sufferage", "dheft", "dsmf")
-        for name in (b, f"{b}-fcfs")
-    ]
-    return groups
-
-
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--profile", default="medium")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    ap.add_argument("--only", nargs="*", default=None,
-                    help="subset of figure groups to run")
+    ap.add_argument("--only", nargs="*", default=None, choices=sorted(FIGURES),
+                    help="subset of figures to run (FIGURES names, e.g. 12 13 14)")
     ap.add_argument("--cache-dir", default=None,
                     help="campaign cache location (default .repro_cache/campaign)")
     ap.add_argument("--no-cache", action="store_true",
@@ -123,18 +66,20 @@ def main() -> None:
     args = ap.parse_args()
 
     RESULTS.mkdir(exist_ok=True)
-    groups = build_specs(args.profile, args.seed)
-    if args.only:
-        groups = {k: v for k, v in groups.items() if k in args.only}
-
-    flat = [(gname, spec) for gname, specs in groups.items() for spec in specs]
-    print(f"{len(flat)} runs across {len(groups)} figure groups "
+    base = base_config(args.profile, seed=args.seed)
+    cells = {
+        name: figure_cells(FIGURES[name], base, args.profile)
+        for name in (args.only or FIGURES)
+    }
+    # Figures sharing a grid list the same specs; run each one once.
+    unique = list(dict.fromkeys(spec for specs in cells.values() for spec in specs))
+    print(f"{len(unique)} runs across {len(cells)} figures "
           f"({args.jobs} workers, profile={args.profile})")
 
     def progress(run: CampaignRun) -> None:
-        # Labels repeat across figure groups (e.g. fig456's and table2's
-        # "dsmf" — identical configs the runner dedupes), so progress lines
-        # carry the label only; the per-group JSON keeps exact attribution.
+        # Identical configs under different labels (Fig. 4's "dsmf" and
+        # Table II's "phase2-heuristic@dsmf") are run once by the runner;
+        # the per-figure JSON keeps exact attribution.
         d = run.result
         src = "cache" if run.from_cache else f"{run.wall_seconds:.0f}s"
         print(f"  [{run.label}] done={d.n_done}/"
@@ -147,19 +92,17 @@ def main() -> None:
         use_cache=not args.no_cache,
         progress=progress,
     )
-    campaign = runner.run([spec for _, spec in flat])
+    campaign = runner.run(unique)
+    by_spec = dict(zip(unique, campaign.runs))
 
-    by_group: dict[str, list[dict]] = {}
-    for (gname, _), run in zip(flat, campaign.runs):
-        by_group.setdefault(gname, []).append(digest(run))
-
-    meta = {"profile": args.profile, "seed": args.seed,
+    meta = {"profile": args.profile, "seed": args.seed, "jobs": args.jobs,
             "wall_total": time.perf_counter() - t0,
             "n_cached": campaign.n_cached,
             "fingerprint": campaign.fingerprint()}
-    for gname, items in by_group.items():
-        out = RESULTS / f"{gname}_{args.profile}.json"
-        out.write_text(json.dumps({"meta": meta, "runs": items}, indent=1))
+    for name, specs in cells.items():
+        out = RESULTS / f"{FIGURES[name].figure}_{args.profile}.json"
+        runs = [digest(by_spec[spec]) for spec in specs]
+        out.write_text(json.dumps({"meta": meta, "runs": runs}, indent=1))
         print(f"wrote {out}")
     print(f"total wall: {meta['wall_total']:.0f}s "
           f"({campaign.n_cached}/{len(campaign)} from cache)")

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
-"""Render EXPERIMENTS.md from the JSON produced by collect_experiments.py,
-or (with ``--bench-readme``) regenerate the bench trajectory tables in
-README.md *and* docs/performance.md from the committed
-``BENCH_PR<N>.json`` reports.
+"""Render the paper-vs-measured record (markdown, one section per entry of
+``repro.experiments.figures.FIGURES``) from the JSON produced by
+collect_experiments.py, or (with ``--bench-readme``) regenerate the bench
+trajectory tables in README.md *and* docs/performance.md from the
+committed ``BENCH_PR<N>.json`` reports.
 
 Usage::
 
@@ -22,7 +23,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
 
-ORDER = ["dheft", "heft", "max-min", "min-min", "dsdf", "sufferage", "dsmf", "smf"]
+#: The decentralized algorithms DSMF is compared against in §IV.B.
+RIVALS = ("min-min", "max-min", "sufferage", "dheft", "dsdf")
+
+#: How each plotted quantity is printed.
+FORMATS = {"throughput": "{:.0f}", "act": "{:,.0f}", "ae": "{:.3f}", "rss_mean": "{:.1f}"}
+
+#: Table II as quoted in §IV.B: converged ACT (s) with the heuristic
+#: second phase and with FCFS.
+PAPER_TABLE2 = {
+    "min-min": (31977, 32874), "max-min": (33495, 33746),
+    "sufferage": (30321, 32781), "dheft": (30728, 32636),
+}
 
 BENCH_BEGIN = "<!-- bench-trajectory:begin (generated by render_experiments.py --bench-readme) -->"
 BENCH_END = "<!-- bench-trajectory:end -->"
@@ -118,13 +130,18 @@ def update_bench_readme(readme: Path, check: bool = False) -> int:
     return status
 
 
-def load(group: str, profile: str) -> dict:
-    path = RESULTS / f"{group}_{profile}.json"
-    return json.loads(path.read_text())
+def load(name: str, profile: str, results_dir: Path = RESULTS) -> dict:
+    return json.loads((results_dir / f"{name}_{profile}.json").read_text())
 
 
-def by_label(runs: list[dict]) -> dict[str, dict]:
-    return {r["label"]: r for r in runs}
+class RunRow(dict):
+    """One results-JSON run row, read like the ``RunResult`` it digests —
+    what ``fold_figure`` folds into a figure."""
+
+    __getattr__ = dict.__getitem__
+
+    def series(self, metric: str) -> tuple[list[float], list[float]]:
+        return self["series"]["hours"], self["series"][metric]
 
 
 def table(headers: list[str], rows: list[list[object]]) -> str:
@@ -139,31 +156,118 @@ def fmt(x: float, nd=0) -> str:
     return f"{x:,.{nd}f}"
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--profile", default="medium")
-    ap.add_argument(
-        "--bench-readme", nargs="?", const=str(ROOT / "README.md"), default=None,
-        metavar="README", help="regenerate the bench trajectory table between the "
-        "bench-trajectory markers from committed BENCH_PR*.json reports (no "
-        "results/ needed)",
-    )
-    ap.add_argument("--check", action="store_true",
-                    help="with --bench-readme: don't write, exit non-zero on drift")
-    args = ap.parse_args()
-    if args.bench_readme is not None:
-        raise SystemExit(update_bench_readme(Path(args.bench_readme), check=args.check))
-    p = args.profile
+def figure_table(entry, fig) -> str:
+    """The figure's numbers: one row per series, one column per category
+    (or, over time, per quarter of the horizon; the last is converged)."""
+    def attr(name):
+        return entry.metric if isinstance(entry.metric, str) else entry.metric[name]
 
-    g456 = by_label(load("fig456", p)["runs"])
-    g78 = by_label(load("fig78", p)["runs"])
-    g910 = by_label(load("fig910", p)["runs"])
-    g11 = by_label(load("fig11", p)["runs"])
-    g12 = by_label(load("fig121314", p)["runs"])
-    gt2 = by_label(load("table2", p)["runs"])
-    meta = load("fig456", p)["meta"]
-    n_nodes = g456["dsmf"]["n_nodes"]
-    n_wf = g456["dsmf"]["n_workflows"]
+    if fig.categories:
+        rows = [[name] + [FORMATS[attr(name)].format(y) for y in ys]
+                for name, (_, ys) in fig.series.items()]
+        return table(["series"] + fig.categories, rows)
+    def at(xs, ys, hour):
+        return next((y for x, y in zip(xs, ys) if x >= hour), ys[-1])
+
+    horizon = max(max(xs) for xs, _ in fig.series.values())
+    marks = [horizon * q / 4 for q in (1, 2, 3, 4)]
+    rows = [[name] + [FORMATS[entry.metric].format(at(xs, ys, h)) for h in marks]
+            for name, (xs, ys) in fig.series.items()]
+    return table(["series"] + [f"{entry.metric}@{h:g}h" for h in marks], rows)
+
+
+def prose(figs: dict) -> dict[str, str]:
+    """The paper's claim and what was measured, per figure."""
+    act = figs["5"].final_values()
+    ae = figs["6"].final_values()
+    red = (1 - act["dsmf"] / (sum(act[a] for a in RIVALS) / len(RIVALS))) * 100
+    gain = (ae["dsmf"] / (sum(ae[a] for a in RIVALS) / len(RIVALS)) - 1) * 100
+    churn = ("`churn_mode` in `ExperimentConfig` selects the suspend semantics "
+             "measured here; the `fail` churn mode plus the `reschedule_failed` "
+             "extension (the paper's future work) are exercised by "
+             "`benchmarks/test_bench_ablations.py`.")
+    return {
+        "4": "Paper: HEFT and DHEFT have the lowest throughput in the beginning "
+             "stage; SMF is best early; DSMF close behind.  Measured: same "
+             "ordering — SMF/DSMF lead the first half, DHEFT's longest-RPM-first "
+             "starves short workflows until late.  **Status: shape reproduced.**",
+        "5": f"Paper: DSMF reduces ACT by 20–60% vs the other decentralized "
+             f"algorithms and beats full-ahead HEFT.  Measured: DSMF is "
+             f"{red:.0f}% below the decentralized-rival mean and beats HEFT "
+             f"({fmt(act['heft'])} s).  **Deviation:** full-ahead SMF's ACT "
+             f"({fmt(act['smf'])} s) does not beat DSMF here (the paper has "
+             "SMF slightly ahead); our full-ahead executor honours the static plan "
+             "without runtime re-optimization, while DSMF re-plans every 15 min "
+             "with fresh load info — at this scale that feedback outweighs SMF's "
+             "global knowledge.  **Status: headline claim reproduced; SMF/DSMF "
+             "rank swapped (documented).**",
+        "6": f"Paper: DSMF improves AE by 37.5–90% over the decentralized rivals; "
+             f"SMF best overall; DHEFT/HEFT worst.  Measured: DSMF is +{gain:.0f}% "
+             "vs the rival mean, SMF clearly best, DHEFT worst.  **Status: shape "
+             "reproduced.**",
+        "7": "Paper: ACT grows with the load factor; DSMF adapts best under heavy "
+             "competition (lf = 6–8).  Measured: monotone growth for every "
+             "algorithm and DSMF has the lowest ACT at lf ≥ 6 among the "
+             "decentralized algorithms (and overall).  **Status: shape reproduced.**",
+        "8": "Paper: AE decreases with load; DSMF keeps the best efficiency among "
+             "decentralized algorithms across the sweep.  Measured: same.  "
+             "**Status: shape reproduced.**",
+        "9": "Paper: SMF good in most cases; DSMF 'remains the winner among all "
+             "decentralized algorithms with different CCRs'.  Measured: DSMF has "
+             "the lowest decentralized ACT in every case.  **Status: shape "
+             "reproduced.**",
+        "10": "Measured: DSMF leads the decentralized field on AE in every CCR "
+              "combination.  **Status: shape reproduced.**",
+        "11": "Paper: nodes known per node bounded < 30 up to n = 2000; AE/ACT "
+              "roughly stable with scale.  Measured: the RSS stays at the "
+              "2·⌈log₂ n⌉ bound (≤ 22 at n = 2000) and AE/ACT are flat within "
+              "noise.  **Status: shape reproduced.**",
+        "12": "Paper: throughput distinctly lower as df grows.  Measured: the "
+              "throughput curves separate exactly like Fig. 12 (monotone in df at "
+              "every mid-run instant); at our capacity margin everything still "
+              "converges by the horizon, whereas the paper's largest workflows do "
+              f"not.  {churn}  **Status: shape reproduced.**",
+        "13": "Paper: finished workflows keep 'relatively stable finish-time and "
+              "efficiency when df ≤ 0.2'.  Measured: ACT of finished workflows "
+              "degrades gracefully (df = 0.1 costs ~15% ACT).  **Status: shape "
+              "reproduced.**",
+        "14": "Paper: as Fig. 13, for efficiency.  Measured: AE of finished "
+              "workflows degrades gracefully with df.  **Status: shape reproduced.**",
+        "table2": "Paper: FCFS at resource nodes is uniformly worse by ~2–8%.  "
+                  "Measured: the decisive case — DSMF's own phase 2 (Formula 10) — "
+                  "beats FCFS clearly (asserted in "
+                  "`benchmarks/test_bench_table2_fcfs_ablation.py`).  For "
+                  "min-min/sufferage the STF/LSF second phases land within ~1% of "
+                  "FCFS (the paper's own gap is 2–8%, at the edge of seed noise), "
+                  "while LTF (max-min) and longest-RPM (DHEFT) second phases are "
+                  "*worse* than FCFS in our simulator: prioritizing long work at the "
+                  "CPU delays the many short workflows that dominate the average.  "
+                  "**Status: reproduced for the dual-phase DSMF claim; "
+                  "smaller/reversed gaps for the adapted rivals documented as a "
+                  "deviation.**",
+    }
+
+
+def table2_rows(fig) -> list[list[object]]:
+    heuristic = fig.series["phase2-heuristic"][1]
+    fcfs = fig.series["phase2-fcfs"][1]
+    return [[b, *PAPER_TABLE2.get(b, ("—", "—")), fmt(h), fmt(f)]
+            for b, h, f in zip(fig.categories, heuristic, fcfs)]
+
+
+def render(profile: str, results_dir: Path = RESULTS) -> str:
+    """The record for one collected profile, as markdown."""
+    # Imported here: --bench-readme runs without the package installed.
+    from repro.experiments.figures import FIGURES, fold_figure
+
+    data = {name: load(entry.figure, profile, results_dir) for name, entry in FIGURES.items()}
+    figs = {
+        name: fold_figure(entry, {r["label"]: RunRow(r) for r in data[name]["runs"]}, profile)
+        for name, entry in FIGURES.items()
+    }
+    meta, first = data["4"]["meta"], data["4"]["runs"][0]
+    hours = first["series"]["hours"][-1]
+    text = prose(figs)
 
     L: list[str] = []
     A = L.append
@@ -175,18 +279,20 @@ def main() -> None:
     A("ICPP 2010).  Regenerate any entry with `python -m repro figure <n>` or")
     A("`python scripts/collect_experiments.py`.")
     A("")
-    A(f"**Measured setting:** `{p}` profile — {n_nodes} nodes, "
-      f"{n_wf} workflows (load factor 3), 36 simulated hours, seed "
-      f"{load('fig456', p)['runs'][0].get('seed', 1) if False else 1}; all "
+    A(f"**Measured setting:** `{meta['profile']}` profile — {first['n_nodes']} nodes, "
+      f"{first['n_workflows']} workflows (load factor "
+      f"{first['n_workflows'] / first['n_nodes']:g}), {hours:g} simulated hours, seed "
+      f"{meta['seed']}; all "
       "Table I per-task parameters (loads 100–10000 MI, data 10–1000 Mb for "
       "the base setting, capacities {1,2,4,8,16} MIPS, bandwidth 0.1–10 Mb/s, "
       "15-min scheduling interval, 5-min gossip cycle, TTL 4).  The paper "
       "runs 1000 nodes; absolute numbers therefore differ — **shape claims** "
       "(who wins, rough factors, trends) are what we compare.  Total "
-      f"collection wall time: {meta['wall_total']:.0f}s on 24 cores.")
+      f"collection wall time: {meta['wall_total']:.0f}s at `--jobs {meta['jobs']}`.")
     A("")
     A("Legend: ACT = average completion time, Eq. (2); AE = average")
-    A("efficiency, Eq. (3); tp@h = workflows finished by hour h.")
+    A("efficiency, Eq. (3); throughput = workflows finished; `metric@Xh` = the")
+    A("value X simulated hours in (the last column is the converged value).")
     A("")
     A("**Paper-scale spot check** (`python scripts/run_paper_scale.py`): one "
       "full Table-I run — 1000 nodes, 3000 workflows, 36 h — of DSMF "
@@ -223,176 +329,21 @@ def main() -> None:
       "`examples/fig3_walkthrough.py`).  **Status: reproduced exactly.**")
     A("")
 
-    # ------------------------------------------------------------ Fig 4-6
-    def tp_at(r, h):
-        hours = r["series"]["hours"]
-        tps = r["series"]["throughput"]
-        for t, v in zip(hours, tps):
-            if t >= h:
-                return int(v)
-        return int(tps[-1])
-
-    A("## Fig. 4 — throughput over time (static)")
-    A("")
-    rows = [[alg, tp_at(g456[alg], 6), tp_at(g456[alg], 12), tp_at(g456[alg], 24),
-             g456[alg]["n_done"]] for alg in ORDER]
-    A(table(["algorithm", "tp@6h", "tp@12h", "tp@24h", "tp@36h"], rows))
-    A("")
-    A("Paper: HEFT and DHEFT have the lowest throughput in the beginning "
-      "stage; SMF is best early; DSMF close behind.  Measured: same "
-      "ordering — SMF/DSMF lead the first half, DHEFT's longest-RPM-first "
-      "starves short workflows until late.  **Status: shape reproduced.**")
-    A("")
-
-    A("## Fig. 5 — average finish time (static)")
-    A("")
-    rows = [[alg, fmt(g456[alg]["act"]),
-             f"{g456[alg]['act'] / g456['dsmf']['act']:.2f}x"] for alg in ORDER]
-    A(table(["algorithm", "converged ACT (s)", "vs DSMF"], rows))
-    A("")
-    riv = [g456[a]["act"] for a in ("min-min", "max-min", "sufferage", "dheft", "dsdf")]
-    red = (1 - g456["dsmf"]["act"] / (sum(riv) / len(riv))) * 100
-    A(f"Paper: DSMF reduces ACT by 20–60% vs the other decentralized "
-      f"algorithms and beats full-ahead HEFT.  Measured: DSMF is "
-      f"{red:.0f}% below the decentralized-rival mean and beats HEFT "
-      f"({fmt(g456['heft']['act'])} s).  **Deviation:** full-ahead SMF's ACT "
-      f"({fmt(g456['smf']['act'])} s) does not beat DSMF here (the paper has "
-      "SMF slightly ahead); our full-ahead executor honours the static plan "
-      "without runtime re-optimization, while DSMF re-plans every 15 min "
-      "with fresh load info — at this scale that feedback outweighs SMF's "
-      "global knowledge.  **Status: headline claim reproduced; SMF/DSMF "
-      "rank swapped (documented).**")
-    A("")
-
-    A("## Fig. 6 — average efficiency (static)")
-    A("")
-    rows = [[alg, f"{g456[alg]['ae']:.3f}",
-             f"{g456[alg]['ae'] / g456['dsmf']['ae']:.2f}x"] for alg in ORDER]
-    A(table(["algorithm", "converged AE", "vs DSMF"], rows))
-    A("")
-    riv_ae = [g456[a]["ae"] for a in ("min-min", "max-min", "sufferage", "dheft", "dsdf")]
-    gain = (g456["dsmf"]["ae"] / (sum(riv_ae) / len(riv_ae)) - 1) * 100
-    A(f"Paper: DSMF improves AE by 37.5–90% over the decentralized rivals; "
-      f"SMF best overall; DHEFT/HEFT worst.  Measured: DSMF is +{gain:.0f}% "
-      "vs the rival mean, SMF clearly best, DHEFT worst.  **Status: shape "
-      "reproduced.**")
-    A("")
-
-    # ------------------------------------------------------------ Fig 7/8
-    lfs = [1, 2, 3, 4, 5, 6, 7, 8]
-    A("## Fig. 7 — ACT vs load factor")
-    A("")
-    rows = [[alg] + [fmt(g78[f"{alg}@lf{lf}"]["act"]) for lf in lfs] for alg in ORDER]
-    A(table(["algorithm"] + [f"lf={lf}" for lf in lfs], rows))
-    A("")
-    A("Paper: ACT grows with the load factor; DSMF adapts best under heavy "
-      "competition (lf = 6–8).  Measured: monotone growth for every "
-      "algorithm and DSMF has the lowest ACT at lf ≥ 6 among the "
-      "decentralized algorithms (and overall).  **Status: shape reproduced.**")
-    A("")
-
-    A("## Fig. 8 — AE vs load factor")
-    A("")
-    rows = [[alg] + [f"{g78[f'{alg}@lf{lf}']['ae']:.3f}" for lf in lfs] for alg in ORDER]
-    A(table(["algorithm"] + [f"lf={lf}" for lf in lfs], rows))
-    A("")
-    A("Paper: AE decreases with load; DSMF keeps the best efficiency among "
-      "decentralized algorithms across the sweep.  Measured: same.  "
-      "**Status: shape reproduced.**")
-    A("")
-
-    # ----------------------------------------------------------- Fig 9/10
-    cases = ["load:10-1000 data:10-1000", "load:10-1000 data:100-10000",
-             "load:100-10000 data:10-1000", "load:100-10000 data:100-10000"]
-    A("## Fig. 9 — ACT under different CCRs")
-    A("")
-    rows = [[alg] + [fmt(g910[f"{alg}@{c}"]["act"]) for c in cases] for alg in ORDER]
-    A(table(["algorithm"] + [c.replace("load:", "L").replace(" data:", "/D") for c in cases], rows))
-    A("")
-    A("Paper: SMF good in most cases; DSMF 'remains the winner among all "
-      "decentralized algorithms with different CCRs'.  Measured: DSMF has "
-      "the lowest decentralized ACT in every case.  **Status: shape "
-      "reproduced.**")
-    A("")
-
-    A("## Fig. 10 — AE under different CCRs")
-    A("")
-    rows = [[alg] + [f"{g910[f'{alg}@{c}']['ae']:.3f}" for c in cases] for alg in ORDER]
-    A(table(["algorithm"] + [c.replace("load:", "L").replace(" data:", "/D") for c in cases], rows))
-    A("")
-    A("Measured: DSMF leads the decentralized field on AE in every CCR "
-      "combination.  **Status: shape reproduced.**")
-    A("")
-
-    # ------------------------------------------------------------- Fig 11
-    A("## Fig. 11 — scalability of DSMF")
-    A("")
-    scales = sorted(int(k.split("@n")[1]) for k in g11)
-    rows = [[f"n={s}", f"{g11[f'dsmf@n{s}']['rss_mean']:.1f}",
-             f"{g11[f'dsmf@n{s}']['ae']:.3f}", fmt(g11[f"dsmf@n{s}"]["act"])]
-            for s in scales]
-    A(table(["scale", "(a) nodes known per node", "(b) AE", "(c) ACT (s)"], rows))
-    A("")
-    A("Paper: nodes known per node bounded < 30 up to n = 2000; AE/ACT "
-      "roughly stable with scale.  Measured: the RSS stays at the "
-      "2·⌈log₂ n⌉ bound (≤ 22 at n = 2000) and AE/ACT are flat within "
-      "noise.  **Status: shape reproduced.**")
-    A("")
-
-    # ------------------------------------------------------ Fig 12/13/14
-    A("## Fig. 12/13/14 — DSMF under churn")
-    A("")
-    dfs = ["df0", "df0.1", "df0.2", "df0.3", "df0.4"]
-    rows = [[lbl.replace("df", "df="),
-             tp_at(g12[lbl], 6), tp_at(g12[lbl], 12), tp_at(g12[lbl], 18),
-             g12[lbl]["n_done"], g12[lbl]["n_failed"],
-             fmt(g12[lbl]["act"]), f"{g12[lbl]['ae']:.3f}"] for lbl in dfs]
-    A(table(["dynamic factor", "tp@6h", "tp@12h", "tp@18h", "tp@36h",
-             "failed", "ACT (s)", "AE"], rows))
-    A("")
-    A("Paper: throughput distinctly lower as df grows (Fig. 12), while "
-      "finished workflows keep 'relatively stable finish-time and "
-      "efficiency when df ≤ 0.2'.  Measured (suspend churn semantics — see "
-      "`churn_mode` in `ExperimentConfig`): the throughput curves separate exactly like Fig. 12 "
-      "(monotone in df at every mid-run instant); at our capacity margin "
-      "everything still converges by 36 h, whereas the paper's largest "
-      "workflows do not.  ACT/AE of finished workflows degrade gracefully "
-      "(df = 0.1 costs ~15% ACT).  The `fail` churn mode plus the "
-      "`reschedule_failed` extension (the paper's future work) are "
-      "exercised by `benchmarks/test_bench_ablations.py`.  **Status: shape "
-      "reproduced.**")
-    A("")
-
-    # ------------------------------------------------------------ Table II
-    A('## "Table II" — §IV.B prose: heuristic vs FCFS second phase')
-    A("")
-    bases = ["min-min", "max-min", "sufferage", "dheft"]
-    paper_h = {"min-min": 31977, "max-min": 33495, "sufferage": 30321, "dheft": 30728}
-    paper_f = {"min-min": 32874, "max-min": 33746, "sufferage": 32781, "dheft": 32636}
-    rows = []
-    for b in bases:
-        rows.append([
-            b, paper_h[b], paper_f[b],
-            fmt(gt2[b]["act"]), fmt(gt2[f"{b}-fcfs"]["act"]),
-        ])
-    if "dsmf" in gt2:
-        rows.append(["dsmf (ours)", "—", "—",
-                     fmt(gt2["dsmf"]["act"]), fmt(gt2["dsmf-fcfs"]["act"])])
-    A(table(["bundle", "paper ACT (heur.)", "paper ACT (FCFS)",
-             "measured ACT (heur.)", "measured ACT (FCFS)"], rows))
-    A("")
-    A("Paper: FCFS at resource nodes is uniformly worse by ~2–8%.  "
-      "Measured: the decisive case — DSMF's own phase 2 (Formula 10) — "
-      "beats FCFS clearly (last row; asserted in "
-      "`benchmarks/test_bench_table2_fcfs_ablation.py`).  For "
-      "min-min/sufferage the STF/LSF second phases land within ~1% of FCFS "
-      "(the paper's own gap is 2–8%, at the edge of seed noise), while LTF "
-      "(max-min) and longest-RPM (DHEFT) second phases are *worse* than "
-      "FCFS in our simulator: prioritizing long work at the CPU delays the "
-      "many short workflows that dominate the average.  **Status: "
-      "reproduced for the dual-phase DSMF claim; smaller/reversed gaps for "
-      "the adapted rivals documented as a deviation.**")
-    A("")
+    # ---------------------------------------------------- the §IV registry
+    for name, entry in FIGURES.items():
+        fig = figs[name]
+        if name == "table2":
+            A(f'## "Table II" — {fig.title}')
+            A("")
+            A(table(["base heuristic", "paper ACT (heur.)", "paper ACT (FCFS)",
+                     "measured ACT (heur.)", "measured ACT (FCFS)"], table2_rows(fig)))
+        else:
+            A(f"## Fig. {name} — {fig.title}")
+            A("")
+            A(figure_table(entry, fig))
+        A("")
+        A(text[name])
+        A("")
 
     # ------------------------------------------------------------- summary
     A("## Summary")
@@ -409,8 +360,24 @@ def main() -> None:
     A("| heuristic phase 2 beats FCFS (Table II) | partial — decisive for DSMF's phase 2; within noise for STF/LSF; reversed for LTF/longest-RPM |")
     A("| SMF best overall ACT (Fig. 5) | deviation — DSMF edges SMF at our scale |")
     A("")
+    return "\n".join(L)
 
-    print("\n".join(L))
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--profile", default="medium")
+    ap.add_argument(
+        "--bench-readme", nargs="?", const=str(ROOT / "README.md"), default=None,
+        metavar="README", help="regenerate the bench trajectory table between the "
+        "bench-trajectory markers from committed BENCH_PR*.json reports (no "
+        "results/ needed)",
+    )
+    ap.add_argument("--check", action="store_true",
+                    help="with --bench-readme: don't write, exit non-zero on drift")
+    args = ap.parse_args()
+    if args.bench_readme is not None:
+        raise SystemExit(update_bench_readme(Path(args.bench_readme), check=args.check))
+    print(render(args.profile))
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 """Run the paper-scale (Table I exact) base experiment for one algorithm.
 
 1000 nodes, 3000 workflows, 36 simulated hours — minutes of wall time per
-run.  Useful to spot-check that the medium-profile numbers archived in
-EXPERIMENTS.md extrapolate.  Multiple seeds fan out across worker
+run.  Useful to spot-check that the medium-profile numbers collected by
+``collect_experiments.py`` (and rendered by ``render_experiments.py``)
+extrapolate.  Multiple seeds fan out across worker
 processes, and completed runs land in the campaign cache, so re-invoking
 with an overlapping seed list only pays for the new seeds.
 

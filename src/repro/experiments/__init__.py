@@ -1,8 +1,9 @@
 """Evaluation harness (substrate S18): configs, scenarios, figures, CLI.
 
-Every table and figure of the paper's Section IV has a regeneration entry
-point here; the ``FIGURES`` dict in :mod:`repro.experiments.figures` maps
-each figure to its function, and ``python -m repro --help`` lists the CLI.
+Every table and figure of the paper's Section IV is defined once, in the
+``FIGURES`` table of :mod:`repro.experiments.figures` (each entry's grid of
+runs and the metric it plots); ``python -m repro figure <n>`` regenerates
+one, and ``python -m repro --help`` lists the CLI.
 """
 
 from repro.experiments.campaign import CampaignResult, CampaignRunner, RunSpec, sweep_specs

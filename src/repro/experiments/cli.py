@@ -50,8 +50,15 @@ from repro.api import (
     available_scenarios,
     quick_run,
 )
+from repro.experiments.campaign import CampaignRunner
 from repro.experiments.config import ScaleProfile
-from repro.experiments.figures import FIGURES, table1_settings
+from repro.experiments.figures import (
+    FIGURES,
+    base_config,
+    figure_cells,
+    fold_figure,
+    table1_settings,
+)
 from repro.experiments.report import ascii_plot, ascii_table, write_series_csv, write_table_csv
 
 __all__ = ["main", "build_parser"]
@@ -472,7 +479,6 @@ def _begin_journal(args, kind: str, payload, request: dict, faults=None):
 def _cmd_campaign(args) -> int:
     from repro.api import run_campaign
     from repro.experiments.campaign import CampaignError
-    from repro.experiments.figures import base_config
 
     try:
         base = base_config(args.profile)
@@ -614,7 +620,6 @@ def _cmd_sweep(args) -> int:
     import json
 
     from repro.experiments.campaign import CampaignError
-    from repro.experiments.figures import base_config
     from repro.experiments.sweep import (
         SweepError,
         SweepSettings,
@@ -852,14 +857,17 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    harness = FIGURES[args.figure]
+    entry = FIGURES[args.figure]
     progress = None
     if not args.quiet:
-        def progress(label, r):  # noqa: ANN001
-            print(f"  [{label}] {r.n_done}/{r.n_workflows} done, "
+        def progress(run):  # noqa: ANN001
+            r = run.result
+            print(f"  [{run.label}] {r.n_done}/{r.n_workflows} done, "
                   f"ACT={r.act:.0f}s AE={r.ae:.3f} ({r.wall_seconds:.1f}s wall)",
                   file=sys.stderr)
-    result = harness(profile=args.profile, seed=args.seed, progress=progress)
+    specs = figure_cells(entry, base_config(args.profile, seed=args.seed), args.profile)
+    runner = CampaignRunner(jobs=1, use_cache=False, progress=progress)
+    result = fold_figure(entry, runner.run(specs).results(), args.profile)
     print(f"== {result.title} ==")
     if result.categories:
         headers = ["series"] + result.categories

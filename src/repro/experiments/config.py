@@ -330,7 +330,7 @@ class ExperimentConfig:
         return self.dynamic_factor > 0.0 or self.churn_model != "paper-interval"
 
     def describe(self) -> dict:
-        """Plain-dict dump (for EXPERIMENTS.md provenance lines)."""
+        """Plain-dict dump (config hashing, ``RunResult.config``)."""
         return asdict(self)
 
     def expected_ccr(self) -> float:
@@ -347,7 +347,7 @@ class ExperimentConfig:
         return (mean_data / mean_bw) / (mean_load / mean_cap)
 
 
-#: Per-profile overrides applied by the figure harnesses.
+#: Per-profile overrides applied by :func:`repro.experiments.figures.base_config`.
 PROFILE_OVERRIDES: dict[ScaleProfile, dict] = {
     ScaleProfile.PAPER: {},
     ScaleProfile.MEDIUM: {"n_nodes": 250, "total_time": 36 * 3600.0},

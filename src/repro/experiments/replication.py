@@ -2,20 +2,21 @@
 
 The paper reports single simulation runs; for a credible open-source
 release the harness should quantify seed noise.  :func:`run_replications`
-executes one configuration under several seeds (optionally in parallel
-processes — each simulation is single-threaded) and returns per-metric
-mean, standard deviation and a Student-t confidence interval.
+executes one configuration under several seeds through the campaign
+runner (optionally fanned out across worker processes — each simulation
+is single-threaded) and returns per-metric mean, standard deviation and a
+Student-t confidence interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
+from repro.experiments.campaign import CampaignRunner, RunSpec
 from repro.experiments.config import ExperimentConfig
 
 __all__ = ["MetricSummary", "ReplicationResult", "run_replications"]
@@ -63,15 +64,6 @@ def _summary(values: Sequence[float], confidence: float) -> MetricSummary:
     return MetricSummary(mean, std, mean - half, mean + half, n)
 
 
-def _one(args: tuple[dict, int]) -> tuple[float, float, float]:
-    spec, seed = args
-    from repro.grid.system import P2PGridSystem
-
-    cfg = ExperimentConfig(**{**spec, "seed": seed})
-    r = P2PGridSystem(cfg).run()
-    return r.act, r.ae, r.completion_rate
-
-
 def run_replications(
     config: ExperimentConfig,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
@@ -84,16 +76,11 @@ def run_replications(
     ----------
     jobs:
         Worker processes (1 = run inline; simulations are deterministic
-        per seed either way).
+        per seed either way).  Results are not cached.
     """
-    spec = config.describe()
-    work = [(spec, int(s)) for s in seeds]
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            rows = pool.map(_one, work)
-    else:
-        rows = [_one(w) for w in work]
-    acts, aes, rates = zip(*rows)
+    specs = [RunSpec(f"s{int(seed)}", config.with_(seed=int(seed))) for seed in seeds]
+    runs = CampaignRunner(jobs=jobs, use_cache=False).run(specs).runs
+    acts, aes, rates = zip(*((r.result.act, r.result.ae, r.result.completion_rate) for r in runs))
     return ReplicationResult(
         config=config,
         seeds=[int(s) for s in seeds],

@@ -66,3 +66,11 @@ def test_overlap_check():
 def test_metric_summary_str():
     s = MetricSummary(mean=10.0, std=1.0, ci_low=9.0, ci_high=11.0, n=5)
     assert "10.0" in str(s)
+
+
+def test_replication_fans_out_through_the_campaign_runner():
+    """Worker processes never change the summary."""
+    inline = run_replications(_cfg(), seeds=(1, 2, 3), jobs=1)
+    fanned = run_replications(_cfg(), seeds=(1, 2, 3), jobs=2)
+    for metric in ("act", "ae", "completion_rate"):
+        assert getattr(fanned, metric) == getattr(inline, metric)
