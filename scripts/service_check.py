@@ -6,6 +6,7 @@ Usage::
     python scripts/service_check.py http://127.0.0.1:8642 first
     python scripts/service_check.py http://127.0.0.1:8642 restarted
     python scripts/service_check.py http://127.0.0.1:8653 killresume CACHE_DIR
+    python scripts/service_check.py http://127.0.0.1:8654 parity CACHE_DIR
 
 ``first`` runs against a cold server: submit a small campaign, long-poll
 it to completion, re-submit the identical manifest and assert it is
@@ -18,9 +19,13 @@ them).  ``killresume`` manages its *own* two server processes: it
 SIGKILLs the first one mid-campaign, restarts on the same directories,
 and asserts the submission journal resumes the campaign under its
 original id with every pre-kill cell replayed from cache and all result
-digests identical to a clean in-process run.  Every request carries a
-timeout, so a dead or wedged server makes this script exit non-zero
-instead of hanging.
+digests identical to a clean in-process run.  ``parity`` also manages
+its own server: it runs ``repro campaign --journal`` on one small cell,
+then starts ``repro serve`` on the same cache and submits the same
+request as a manifest, which must come back from the cache under the
+config hash (and with the result digest) the CLI journaled.  Every
+request carries a timeout, so a dead or wedged server makes this script
+exit non-zero instead of hanging.
 """
 
 from __future__ import annotations
@@ -197,21 +202,73 @@ def phase_killresume(base_url: str, cache_dir: str) -> None:
         server.wait(30)
 
 
+#: One small cell, spelled as `repro campaign` flags over the default
+#: `small` profile: the overrides replace that profile's whole scale, so
+#: the cell is the manifest's cell over the service's paper-scale base.
+PARITY_MANIFEST = {
+    "algorithms": ["dsmf"],
+    "seeds": [21],
+    "overrides": {"n_nodes": 40, "load_factor": 1, "total_time": 21600.0},
+}
+
+
+def phase_parity(base_url: str, cache_dir: str) -> None:
+    """The CLI and the service key one request to one cache entry."""
+    import subprocess
+    from pathlib import Path
+    from urllib.parse import urlsplit
+
+    from repro.experiments.journal import RunJournal
+
+    port = urlsplit(base_url).port
+    assert port, f"base URL needs an explicit port: {base_url}"
+    journal = Path(cache_dir) / "parity-campaign.jsonl"
+    subprocess.run(
+        [
+            sys.executable, "-m", "repro.experiments.cli", "campaign",
+            "--algorithms", *PARITY_MANIFEST["algorithms"],
+            "--seeds", *map(str, PARITY_MANIFEST["seeds"]),
+            *(f"--set={k}={v}" for k, v in PARITY_MANIFEST["overrides"].items()),
+            "--cache-dir", cache_dir, "--journal", str(journal), "--quiet",
+        ],
+        check=True,
+        timeout=240,
+    )
+    [(key, digest)] = RunJournal.load(journal).done.items()
+    print(f"repro campaign journaled config hash {key[:12]}", flush=True)
+
+    server = _spawn_server(port, cache_dir)
+    try:
+        client = ServiceClient(base_url, timeout=30.0)
+        client.wait_healthy(timeout=60)
+        record = client.wait(client.submit(PARITY_MANIFEST)["id"], timeout=120)
+        assert record["status"] == "done", record
+        [run] = record["runs"]
+        assert run["config_hash"] == key, (run, key)
+        assert run["from_cache"] is True, run
+        assert client.result(key)["result_digest"] == digest, key
+        print(f"service replayed {key[:12]} from the CLI's cache entry", flush=True)
+    finally:
+        server.terminate()
+        server.wait(30)
+
+
 def main(argv: list[str]) -> int:
+    managed = ("killresume", "parity")  # phases that run their own server
     if (
         len(argv) < 2
-        or argv[1] not in ("first", "restarted", "killresume")
-        or (argv[1] == "killresume") != (len(argv) == 3)
+        or argv[1] not in ("first", "restarted", *managed)
+        or (argv[1] in managed) != (len(argv) == 3)
     ):
         print(
             f"usage: {sys.argv[0]} BASE_URL first|restarted\n"
-            f"       {sys.argv[0]} BASE_URL killresume CACHE_DIR",
+            f"       {sys.argv[0]} BASE_URL killresume|parity CACHE_DIR",
             file=sys.stderr,
         )
         return 2
     base_url, phase = argv[:2]
-    if phase == "killresume":
-        phase_killresume(base_url, argv[2])
+    if phase in managed:
+        (phase_killresume if phase == "killresume" else phase_parity)(base_url, argv[2])
         print(f"phase {phase!r} OK", flush=True)
         return 0
     client = ServiceClient(base_url, timeout=30.0)

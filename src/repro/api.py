@@ -136,14 +136,17 @@ def run_campaign(
 
     Results are deterministic per config regardless of ``jobs``; completed
     runs are cached on disk keyed by a content hash of the resolved config,
-    so re-invocations are near-instant.  ``scenario`` applies a named
-    workload preset from :mod:`repro.workload.scenarios` to every cell
-    (keyword ``overrides`` win over the preset).  Cells killed by a
-    worker-process death are retried up to ``max_retries`` times with
-    exponential backoff (``retry_backoff`` base); ``faults`` injects a
-    deterministic :class:`~repro.faults.FaultPlan` (``None`` = disabled).
-    Any :class:`~repro.experiments.config.ExperimentConfig` field can be
-    overridden by keyword (applied to every cell of the sweep)::
+    so re-invocations are near-instant.  The request resolves as every
+    campaign does (:mod:`repro.experiments.request`): ``base`` (default:
+    the paper-scale ``ExperimentConfig()``), then the ``scenario`` preset,
+    then the keyword ``overrides`` (any
+    :class:`~repro.experiments.config.ExperimentConfig` field), then the
+    grid.  Cells killed by a worker-process death are retried up to
+    ``max_retries`` times with exponential backoff (``retry_backoff``
+    base); ``faults`` injects a deterministic
+    :class:`~repro.faults.FaultPlan` (``None`` = disabled).  An invalid
+    request raises :class:`~repro.experiments.request.ManifestError`, a
+    ``ValueError``::
 
         from repro import run_campaign
         campaign = run_campaign(["dsmf", "dheft"], seeds=range(1, 5), jobs=4,
@@ -152,21 +155,21 @@ def run_campaign(
         for run in campaign:
             print(run.label, run.result.summary())
     """
-    from repro.experiments.campaign import CampaignRunner, sweep_specs
+    from repro.experiments.request import execute, resolve
     from repro.faults import NULL_FAULTS
 
-    if scenario is not None:
-        from repro.experiments.config import ExperimentConfig
-        from repro.workload.scenarios import apply_scenario
-
-        base = apply_scenario(base if base is not None else ExperimentConfig(), scenario)
-    specs = sweep_specs(algorithms, seeds, base=base, **overrides)
-    runner = CampaignRunner(
+    manifest = {
+        "scenario": scenario,
+        "algorithms": list(algorithms),
+        "seeds": [int(s) for s in seeds],
+        "overrides": overrides,
+    }
+    return execute(
+        resolve("campaign", manifest, base),
         jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, progress=progress,
         max_retries=max_retries, retry_backoff=retry_backoff,
         faults=NULL_FAULTS if faults is None else faults,
     )
-    return runner.run(specs)
 
 
 def run_sweep(
@@ -190,32 +193,28 @@ def run_sweep(
     ``workload_scale`` config knob — doubling until the mean completion
     rate over ``seeds`` drops below ``threshold``, then bisecting the
     bracket to ``resolution``.  Every probe is a cached campaign cell, so
-    repeated/overlapping sweeps replay instantly.  Returns the JSON-ready
-    capacity-envelope report (render it with
+    repeated/overlapping sweeps replay instantly.  ``progress`` sees
+    ``(scenario, algorithm, probe)`` after every probe.  Returns the
+    JSON-ready capacity-envelope report (render it with
     :func:`repro.experiments.sweep.format_envelope`)::
 
         from repro import run_sweep
         report = run_sweep(["paper-fig4"], ["dsmf", "heft"], seeds=[1, 2])
     """
-    from repro.experiments.sweep import SweepSettings
-    from repro.experiments.sweep import run_sweep as _run
+    from repro.experiments.request import execute, resolve
 
-    settings = SweepSettings(
-        threshold=threshold,
-        resolution=resolution,
-        max_scale=max_scale,
-        seeds=tuple(int(s) for s in seeds),
-    )
-    return _run(
-        scenarios,
-        algorithms,
-        base=base,
-        settings=settings,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        progress=progress,
-        **overrides,
+    manifest = {
+        "scenarios": list(scenarios),
+        "algorithms": list(algorithms),
+        "seeds": [int(s) for s in seeds],
+        "overrides": overrides,
+        "threshold": threshold,
+        "resolution": resolution,
+        "max_scale": max_scale,
+    }
+    return execute(
+        resolve("sweep", manifest, base),
+        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, probe_progress=progress,
     )
 
 
@@ -228,11 +227,12 @@ def run_manifest(
 ) -> "CampaignResult":
     """Execute a service-style JSON campaign manifest inline.
 
-    The same validation the HTTP service applies to ``POST /campaigns``
-    (:mod:`repro.service.schemas`), without a server: ``manifest`` is a
-    plain dict with optional ``scenario``, ``algorithms``, ``seeds`` and
-    ``overrides`` keys.  Raises
-    :class:`~repro.service.schemas.ManifestError` — a ``ValueError``
+    The validator and resolution order of ``POST /campaigns``
+    (:mod:`repro.experiments.request`), over the same paper-scale
+    defaults, without a server and without the service's size caps:
+    ``manifest`` is a plain dict with optional ``scenario``,
+    ``algorithms``, ``seeds`` and ``overrides`` keys.  Raises
+    :class:`~repro.experiments.request.ManifestError` — a ``ValueError``
     subclass — on any invalid manifest::
 
         from repro import run_manifest
@@ -240,11 +240,9 @@ def run_manifest(
                                  "algorithms": ["dsmf"], "seeds": [1, 2],
                                  "overrides": {"n_nodes": 40}}, jobs=2)
     """
-    from repro.experiments.campaign import CampaignRunner
-    from repro.service.schemas import manifest_specs
+    from repro.experiments.request import execute, resolve
 
-    specs = manifest_specs(manifest)
-    runner = CampaignRunner(
-        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, progress=progress
+    return execute(
+        resolve("campaign", manifest),
+        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, progress=progress,
     )
-    return runner.run(specs)

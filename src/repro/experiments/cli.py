@@ -437,103 +437,92 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
-def _begin_journal(args, kind: str, payload, request: dict, faults=None):
-    """Open ``args.journal`` for one campaign/sweep request and begin it.
+def _refusal(exc) -> str:
+    """The CLI text of a :class:`~repro.experiments.request.ManifestError`."""
+    if exc.code == "invalid-overrides" and exc.__cause__ is not None:
+        return f"invalid --set override: {exc.__cause__}"
+    return exc.message
 
-    ``payload`` is what :func:`~repro.experiments.journal.request_identity`
-    hashes and ``request`` the human-readable echo in the ``begin`` record.
-    With ``--resume`` the journal must exist and carry the same identity;
-    without it, any stale journal at the path is truncated.  Returns
-    ``(journal, resumed_state_or_None)``.
+
+def _run_request(args, kind: str, manifest: dict, base, **options):
+    """Resolve and execute one ``campaign``/``sweep`` request for ``args``.
+
+    With ``--journal`` every finished cell's digest is synced to the
+    journal; with ``--resume`` the journal must exist and come from the
+    same request, and the cells it lists must replay with the digests it
+    recorded.  Returns ``(outcome, journaled digests or None)``.
     """
     from pathlib import Path
 
-    from repro.experiments.journal import RunJournal, request_identity
+    from repro.experiments.campaign import CampaignError
+    from repro.experiments.journal import RunJournal
+    from repro.experiments.request import ManifestError, execute, resolve
     from repro.faults import NULL_FAULTS
 
-    identity = request_identity(kind, payload)
-    state = None
-    if args.resume:
-        state = RunJournal.load(args.journal)
-        if state is None:
-            raise SystemExit(f"--resume: no journal at {args.journal}")
-        if state.identity != identity:
-            raise SystemExit(
-                f"--resume: the journal was written by a different {kind} "
-                "request (grid, settings, config or code version changed) — "
-                "start fresh without --resume"
-            )
-        if not args.quiet:
-            print(
-                f"resuming: {len(state.done)} {kind} cells journaled done "
-                "(replayed from cache)",
-                file=sys.stderr,
-            )
-    else:
-        Path(args.journal).unlink(missing_ok=True)
-    journal = RunJournal(args.journal, faults=faults or NULL_FAULTS)
-    journal.begin(kind, identity, request)
-    return journal, state
+    if args.resume and not args.journal:
+        raise SystemExit("--resume requires --journal JOURNAL.jsonl")
+    try:
+        request = resolve(kind, manifest, base)
+    except ManifestError as exc:
+        raise SystemExit(_refusal(exc))
+    journal = expected = None
+    if args.journal:
+        if args.resume:
+            state = RunJournal.load(args.journal)
+            if state is None:
+                raise SystemExit(f"--resume: no journal at {args.journal}")
+            if state.identity != request.identity:
+                raise SystemExit(
+                    f"--resume: the journal was written by a different {kind} "
+                    "request (grid, settings, config or code version changed) — "
+                    "start fresh without --resume"
+                )
+            expected = state.done
+            if not args.quiet:
+                print(f"resuming: {len(expected)} {kind} cells journaled done "
+                      "(replayed from cache)", file=sys.stderr)
+        else:
+            Path(args.journal).unlink(missing_ok=True)
+        journal = RunJournal(args.journal, faults=options.get("faults", NULL_FAULTS))
+        journal.begin(kind, request.identity, {**manifest, "profile": args.profile})
+    try:
+        outcome = execute(
+            request, journal=journal, expected=expected, jobs=args.jobs,
+            cache_dir=args.cache_dir, use_cache=not args.no_cache, **options,
+        )
+    except (CampaignError, ValueError) as exc:  # failed cells, bad runner options
+        raise SystemExit(str(exc))
+    finally:
+        if journal is not None:
+            journal.close()
+    return outcome, expected
 
 
 def _cmd_campaign(args) -> int:
-    from repro.api import run_campaign
-    from repro.experiments.campaign import CampaignError
+    from repro.faults import NULL_FAULTS, load_fault_plan
 
-    try:
-        base = base_config(args.profile)
-        if args.scenario:
-            from repro.workload.scenarios import apply_scenario
-
-            base = apply_scenario(base, args.scenario)
-        if args.churn_model:
-            base = base.with_(churn_model=args.churn_model)
-        if args.recovery:
-            base = base.with_(recovery_policy=args.recovery)
-        overrides = _parse_overrides(args.overrides)
-        if overrides:
-            base = base.with_(**overrides)
-        if args.telemetry:
-            base = base.with_(telemetry=True)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid --set override: {exc}")
     if args.max_retries < 0:
         raise SystemExit("--max-retries must be >= 0")
-    faults = None
+    faults = NULL_FAULTS
     if args.inject_faults:
-        from repro.faults import load_fault_plan
-
         try:
             faults = load_fault_plan(args.inject_faults)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"--inject-faults: {exc}")
-    if args.resume and not args.journal:
-        raise SystemExit("--resume requires --journal JOURNAL.jsonl")
-    journal = None
-    journal_state = None
-    if args.journal:
-        from repro.experiments.campaign import config_hash, sweep_specs
-
-        try:
-            cells = [
-                (s.label, config_hash(s.config))
-                for s in sweep_specs(args.algorithms, args.seeds, base=base)
-            ]
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        journal, journal_state = _begin_journal(
-            args,
-            "campaign",
-            cells,
-            {
-                "algorithms": list(args.algorithms),
-                "seeds": [int(s) for s in args.seeds],
-                "profile": args.profile,
-                "scenario": args.scenario,
-                "overrides": {k: repr(v) for k, v in overrides.items()},
-            },
-            faults=faults,
-        )
+    overrides: dict = {}
+    if args.churn_model:
+        overrides["churn_model"] = args.churn_model
+    if args.recovery:
+        overrides["recovery_policy"] = args.recovery
+    if args.telemetry:
+        overrides["telemetry"] = True
+    overrides.update(_parse_overrides(args.overrides))  # --set wins
+    manifest = {
+        "scenario": args.scenario,
+        "algorithms": args.algorithms,
+        "seeds": args.seeds,
+        "overrides": overrides,
+    }
     progress = None
     if not args.quiet:
         def progress(run):  # noqa: ANN001
@@ -541,52 +530,13 @@ def _cmd_campaign(args) -> int:
             print(f"  [{run.label}] {run.result.n_done}/{run.result.n_workflows} done, "
                   f"ACT={run.result.act:.0f}s AE={run.result.ae:.3f} ({src})",
                   file=sys.stderr)
-    if journal is not None:
-        user_progress = progress
-
-        def progress(run):  # noqa: ANN001
-            journal.record_done(run.cache_key, run.label, run.digest())
-            if user_progress is not None:
-                user_progress(run)
-    try:
-        campaign = run_campaign(
-            algorithms=args.algorithms,
-            seeds=args.seeds,
-            base=base,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            progress=progress,
-            max_retries=args.max_retries,
-            retry_backoff=args.retry_backoff,
-            faults=faults,
-        )
-        if journal is not None:
-            journal.finish(campaign.fingerprint())
-    except CampaignError as exc:  # run failures (message embeds each one)
-        raise SystemExit(str(exc))
-    except ValueError as exc:  # bad sweep shape, e.g. repeated seeds
-        raise SystemExit(str(exc))
-    finally:
-        if journal is not None:
-            journal.close()
-    if journal_state is not None:
-        mismatched = [
-            run.label
-            for run in campaign
-            if run.cache_key in journal_state.done
-            and run.digest() != journal_state.done[run.cache_key]
-        ]
-        if mismatched:
-            raise SystemExit(
-                "--resume: cached digests diverged from the journal for: "
-                + ", ".join(mismatched)
-            )
-        replayed = sum(
-            1
-            for run in campaign
-            if run.cache_key in journal_state.done and run.from_cache
-        )
+    campaign, expected = _run_request(
+        args, "campaign", manifest, base_config(args.profile), faults=faults,
+        progress=progress, max_retries=args.max_retries,
+        retry_backoff=args.retry_backoff,
+    )
+    if expected is not None:
+        replayed = sum(1 for run in campaign if run.cache_key in expected and run.from_cache)
         print(
             f"resume verified: {replayed} journaled cells replayed from "
             "cache, digests match",
@@ -619,60 +569,24 @@ def _cmd_campaign(args) -> int:
 def _cmd_sweep(args) -> int:
     import json
 
-    from repro.experiments.campaign import CampaignError
-    from repro.experiments.sweep import (
-        SweepError,
-        SweepSettings,
-        format_envelope,
-        run_sweep,
-    )
+    from repro.experiments.sweep import format_envelope
 
+    shape: dict = {}
+    resolution, max_scale = args.resolution, args.max_scale
     if args.quick:
         # CI smoke shape: same search/caching/report paths on a grid small
         # enough that the whole envelope fits in a couple of minutes.
-        base = base_config(args.profile, n_nodes=24, load_factor=1,
-                           total_time=8 * 3600.0)
-        settings = SweepSettings(
-            threshold=args.threshold,
-            resolution=max(args.resolution, 0.5),
-            max_scale=min(args.max_scale, 2.0),
-            seeds=tuple(args.seeds),
-        )
-    else:
-        base = base_config(args.profile)
-        settings = SweepSettings(
-            threshold=args.threshold,
-            resolution=args.resolution,
-            max_scale=args.max_scale,
-            seeds=tuple(args.seeds),
-        )
-    try:
-        overrides = _parse_overrides(args.overrides)
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid --set override: {exc}")
-    if args.resume and not args.journal:
-        raise SystemExit("--resume requires --journal JOURNAL.jsonl")
-    journal = None
-    journal_state = None
-    mismatched: list[str] = []
-    if args.journal:
-        from repro import __version__
-        from repro.experiments.campaign import CACHE_SCHEMA
-
-        request = {
-            "scenarios": list(args.scenarios),
-            "algorithms": list(args.algorithms),
-            "seeds": [int(s) for s in settings.seeds],
-            "threshold": settings.threshold,
-            "resolution": settings.resolution,
-            "max_scale": settings.max_scale,
-            "overrides": {k: repr(v) for k, v in sorted(overrides.items())},
-            "profile": args.profile,
-            "quick": bool(args.quick),
-            "version": __version__,
-            "cache_schema": CACHE_SCHEMA,
-        }
-        journal, journal_state = _begin_journal(args, "sweep", request, request)
+        shape = dict(n_nodes=24, load_factor=1, total_time=8 * 3600.0)
+        resolution, max_scale = max(resolution, 0.5), min(max_scale, 2.0)
+    manifest = {
+        "scenarios": args.scenarios,
+        "algorithms": args.algorithms,
+        "seeds": args.seeds,
+        "overrides": _parse_overrides(args.overrides),
+        "threshold": args.threshold,
+        "resolution": resolution,
+        "max_scale": max_scale,
+    }
     progress = None
     if not args.quiet:
         def progress(scenario, algorithm, probe):  # noqa: ANN001
@@ -682,47 +596,10 @@ def _cmd_sweep(args) -> int:
                   f"{probe.n_done}/{probe.n_workflows} done "
                   f"(rate {probe.completion_rate:.3f}, {verdict}, {src})",
                   file=sys.stderr)
-    run_progress = None
-    if journal is not None:
-        def run_progress(run):  # noqa: ANN001
-            digest = run.digest()
-            journal.record_done(run.cache_key, run.label, digest)
-            if (
-                journal_state is not None
-                and journal_state.done.get(run.cache_key, digest) != digest
-            ):
-                mismatched.append(run.label)
-    try:
-        report = run_sweep(
-            args.scenarios,
-            args.algorithms,
-            base=base,
-            settings=settings,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            progress=progress,
-            run_progress=run_progress,
-            **overrides,
-        )
-        if journal is not None:
-            from repro.experiments.journal import request_identity
-
-            journal.finish(request_identity("sweep-report", report))
-    except SweepError as exc:
-        raise SystemExit(str(exc))
-    except CampaignError as exc:
-        raise SystemExit(str(exc))
-    except (TypeError, ValueError) as exc:
-        raise SystemExit(f"invalid sweep request: {exc}")
-    finally:
-        if journal is not None:
-            journal.close()
-    if mismatched:
-        raise SystemExit(
-            "--resume: cached digests diverged from the journal for: "
-            + ", ".join(sorted(set(mismatched)))
-        )
+    report, _ = _run_request(
+        args, "sweep", manifest, base_config(args.profile, **shape),
+        probe_progress=progress,
+    )
     print(format_envelope(report))
     total = sum(
         cell["n_probes"]
@@ -735,7 +612,7 @@ def _cmd_sweep(args) -> int:
         for cell in entry["heuristics"].values()
     )
     print(f"{total} probes ({cached} from cache), criterion: completion rate "
-          f">= {settings.threshold:g} over seeds {list(settings.seeds)}")
+          f">= {args.threshold:g} over seeds {args.seeds}")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

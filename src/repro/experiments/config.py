@@ -11,6 +11,7 @@ keeping all per-task parameters — which preserves the result *shape*.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -187,11 +188,23 @@ class ExperimentConfig:
 
     # ----------------------------------------------------------- validation
     def __post_init__(self) -> None:
+        # NaN passes every ordered comparison below, and an infinite or
+        # NaN horizon never ends a run: reject non-finite numbers first.
+        for name, value in vars(self).items():
+            if isinstance(value, (tuple, list)):
+                finite = all(math.isfinite(v) for v in value if isinstance(v, float))
+            else:
+                finite = not isinstance(value, float) or math.isfinite(value)
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("workload_path", "availability_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise TypeError(f"{name} must be a path string or None")
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
         if self.load_factor < 1:
             raise ValueError("load factor must be >= 1")
-        if not self.workload_scale > 0 or self.workload_scale != self.workload_scale:
+        if not self.workload_scale > 0:
             raise ValueError("workload_scale must be a positive number")
         if self.total_time <= 0:
             raise ValueError("total_time must be positive")

@@ -26,11 +26,13 @@ Entry points: :func:`run_sweep` (the driver), :func:`format_envelope`
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.experiments.campaign import CampaignRunner, RunSpec
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.request import ManifestError, sweep_base
 from repro.faults import NULL_FAULTS
 
 __all__ = [
@@ -58,8 +60,8 @@ _SCALE_DECIMALS = 4
 MIN_SCALE = 1.0 / 16.0
 
 
-class SweepError(ValueError):
-    """A sweep request was invalid (unknown scenario, bad settings...)."""
+class SweepError(ManifestError):
+    """A sweep request was invalid (bad settings, an unsweepable scenario...)."""
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,18 @@ class SweepSettings:
     seeds: tuple[int, ...] = (1,)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.threshold, self.resolution, self.max_scale))):
+            raise SweepError(
+                "invalid-criterion", "threshold, resolution and max_scale must be finite"
+            )
         if not 0.0 < self.threshold <= 1.0:
-            raise SweepError("threshold must be in (0, 1]")
+            raise SweepError("invalid-criterion", "threshold must be in (0, 1]")
         if self.resolution <= 0:
-            raise SweepError("resolution must be positive")
+            raise SweepError("invalid-criterion", "resolution must be positive")
         if self.max_scale < 1.0:
-            raise SweepError("max_scale must be >= 1")
+            raise SweepError("invalid-criterion", "max_scale must be >= 1")
         if not self.seeds:
-            raise SweepError("need at least one seed")
+            raise SweepError("invalid-seeds", "need at least one seed")
 
 
 @dataclass
@@ -140,23 +146,6 @@ def _round_scale(scale: float) -> float:
     return round(scale, _SCALE_DECIMALS)
 
 
-def _resolve_base(
-    scenario: str, base: Optional[ExperimentConfig], overrides: dict
-) -> ExperimentConfig:
-    from repro.workload.scenarios import apply_scenario
-
-    cfg = apply_scenario(base if base is not None else ExperimentConfig(), scenario)
-    if overrides:
-        cfg = cfg.with_(**overrides)
-    if cfg.workload_source == "trace":
-        raise SweepError(
-            f"scenario {scenario!r} replays a submission trace; its arrival "
-            "rate is fixed by the trace file, so workload_scale cannot "
-            "sweep it — pick a generated-workload scenario"
-        )
-    return cfg
-
-
 def run_sweep(
     scenarios: Sequence[str],
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
@@ -179,8 +168,9 @@ def run_sweep(
     """Bisect every (scenario × heuristic) cell to its saturation scale.
 
     Returns the capacity-envelope report (schema :data:`SWEEP_SCHEMA`).
-    ``base``/``overrides`` shape the per-scenario config exactly like
-    :func:`repro.api.run_campaign`; ``progress`` is called with
+    ``base``/``overrides`` shape each scenario's config through
+    :func:`repro.experiments.request.sweep_base` (the base, then the
+    scenario, then the overrides); ``progress`` is called with
     ``(scenario, algorithm, probe)`` after every probe, while
     ``run_progress``/``run_on_start`` are the finer-grained per-config
     :class:`CampaignRunner` callbacks (the service layer's status hooks).
@@ -190,11 +180,11 @@ def run_sweep(
     to that runner (see :class:`CampaignRunner`).
     """
     if not scenarios:
-        raise SweepError("need at least one scenario")
+        raise SweepError("invalid-scenarios", "need at least one scenario")
     if not algorithms:
-        raise SweepError("need at least one algorithm")
+        raise SweepError("invalid-algorithms", "need at least one algorithm")
     if len(set(algorithms)) != len(algorithms):
-        raise SweepError("duplicate algorithm in sweep request")
+        raise SweepError("invalid-algorithms", "duplicate algorithm in sweep request")
     settings = settings or SweepSettings()
     kwargs: dict = {}
     if runner is not None:
@@ -206,7 +196,7 @@ def run_sweep(
         faults=faults, stats=stats,
         **kwargs,
     )
-    bases = {name: _resolve_base(name, base, overrides) for name in scenarios}
+    bases = {name: sweep_base(name, base, overrides) for name in scenarios}
 
     def probe(scenario: str, algorithm: str, scale: float) -> _Probe:
         cfg = bases[scenario]

@@ -6,9 +6,9 @@ invocations — needs a long-running process in front of
 content-addressed result cache.  This package provides it with zero new
 dependencies (stdlib ``http.server`` only):
 
-* :mod:`repro.service.schemas` — JSON campaign *manifests* (scenario ×
-  algorithms × seeds × overrides) validated through
-  :class:`~repro.experiments.config.ExperimentConfig`, plus the
+* :mod:`repro.service.schemas` — JSON request bodies, admitted through
+  the request pipeline (:mod:`repro.experiments.request`) over the
+  paper-scale defaults and within the service's size caps, plus the
   :class:`~repro.metrics.collectors.RunResult` JSON serializer;
 * :mod:`repro.service.index` — a persistent on-disk experiment index
   (crash-safe JSON-lines journal, rebuilt from the cache directory on

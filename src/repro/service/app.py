@@ -32,7 +32,8 @@ failures are 4xx by construction and can never wedge the worker.  With
 ``429`` + a ``Retry-After`` header instead of unbounded queueing.
 Accepted submissions are journaled (``<cache_dir>/service.jsonl``), so a
 killed server resumes its unfinished campaigns — original ids, finished
-cells replayed from cache — on the next start against the same dirs.
+cells replayed from cache and checked against the result digests the
+experiment index recorded — on the next start against the same dirs.
 """
 
 from __future__ import annotations
@@ -470,10 +471,8 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.rfile.read(length)
         try:
             manifest = parse_manifest(body)
-            if path == "/sweeps":
-                record = state.queue.submit_sweep(manifest)
-            else:
-                record = state.queue.submit(manifest)
+            kind = "sweep" if path == "/sweeps" else "campaign"
+            record = state.queue.submit(manifest, kind)
         except ManifestError as exc:
             status = 413 if exc.code == "body-too-large" else 400
             self._send_error_json(status, exc.code, exc.message, exc.field)

@@ -41,8 +41,13 @@ def entry_from_result(
     source: str = "run",
     from_cache: bool = False,
     recorded_at: Optional[float] = None,
+    digest: Optional[str] = None,
 ) -> dict:
-    """Build one index entry (a flat JSON-safe summary) for a finished run."""
+    """Build one index entry (a flat JSON-safe summary) for a finished run.
+
+    ``digest`` is the run's result digest; a restarted service checks the
+    cells it replays against it.
+    """
     config = result.config if isinstance(result.config, Mapping) else {}
     return {
         "config_hash": config_hash,
@@ -61,6 +66,7 @@ def entry_from_result(
         "ae": float(result.ae),
         "total_time": float(result.total_time),
         "recorded_at": time.time() if recorded_at is None else float(recorded_at),
+        "digest": digest,
     }
 
 
@@ -94,6 +100,15 @@ class ExperimentIndex(JsonlLog):
         """Latest entry per config hash, in first-seen order (copies)."""
         with self._lock:
             return [dict(e) for e in self._entries.values()]
+
+    def digests(self) -> dict[str, str]:
+        """config_hash -> the result digest last recorded for it."""
+        with self._lock:
+            return {
+                key: entry["digest"]
+                for key, entry in self._entries.items()
+                if isinstance(entry.get("digest"), str)
+            }
 
     def __len__(self) -> int:
         with self._lock:

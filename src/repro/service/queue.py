@@ -1,8 +1,15 @@
 """The submission queue: serial campaign execution over the shared cache.
 
-One worker thread drains submitted campaigns in FIFO order; each campaign
-fans out through :class:`~repro.experiments.campaign.CampaignRunner`'s
-process pool.  Serial campaign execution is a deliberate design choice,
+One submit path and one worker path carry both request kinds through
+:mod:`repro.experiments.request`: :meth:`CampaignQueue.submit` resolves a
+manifest (:func:`~repro.service.schemas.admit`), and the worker thread
+drains accepted requests in FIFO order through
+:func:`~repro.experiments.request.execute` — a campaign fans out through
+:class:`~repro.experiments.campaign.CampaignRunner`'s process pool, a
+sweep through :func:`~repro.experiments.sweep.run_sweep`.  A campaign
+recreated from the submission journal runs with the result digests the
+experiment index recorded for its cells, so a replayed cell whose digest
+changed fails it.  Serial campaign execution is a deliberate design choice,
 not a limitation: together with the content-addressed cache (and the
 runner's own within-sweep dedup) it gives the service its coalescing
 guarantee — when N clients concurrently submit overlapping manifests,
@@ -23,17 +30,15 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
-from repro.experiments.campaign import (
-    CampaignError,
-    CampaignRunner,
-    config_hash,
-)
+from repro.experiments.campaign import CampaignError
+from repro.experiments.request import execute
 from repro.faults import NULL_FAULTS
 from repro.service.index import ExperimentIndex, entry_from_result
-from repro.service.schemas import manifest_specs, sweep_request
+from repro.service.schemas import admit
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.campaign import CampaignRun, RunSpec
+    from repro.experiments.request import Request
     from repro.service.journal import ServiceJournal
 
 __all__ = ["CampaignQueue", "CampaignState", "QueueFullError", "RunState"]
@@ -152,7 +157,8 @@ class CampaignQueue:
         given, accepted submissions are journaled before the client sees
         them, and any submitted-but-unfinished campaign from a previous
         process is recreated (original id, ``resumed`` flag) and
-        re-enqueued — finished cells replay from cache.
+        re-enqueued — finished cells replay from cache, digest-checked
+        against the index.
     max_pending:
         Overload bound: when this many campaigns are queued or running, a
         new submission raises :class:`QueueFullError` (the HTTP layer
@@ -205,42 +211,29 @@ class CampaignQueue:
     def _replay(self, unfinished: "list[dict]") -> None:
         """Recreate journaled unfinished campaigns under their original ids.
 
-        Manifests were validated at submission; one that no longer
-        validates (schema drift across an upgrade) is journaled as failed
-        rather than wedging the queue.
+        Each runs with the result digests the index recorded, so a cell
+        whose cached result changed fails it.  Manifests were validated at
+        submission; one that no longer validates (schema drift across an
+        upgrade) is journaled as failed rather than wedging the queue.
         """
+        expected = self.index.digests()
         for entry in unfinished:
             cid, kind, manifest = entry["id"], entry["kind"], entry["manifest"]
+            state = CampaignState(
+                id=cid, manifest=dict(manifest), kind=kind,
+                submitted_at=time.time(), resumed=True,
+            )
+            self._campaigns[cid] = state
             try:
-                if kind == "sweep":
-                    payload: object = sweep_request(manifest)
-                    runs: list[RunState] = []
-                else:
-                    specs = manifest_specs(manifest)
-                    payload = specs
-                    runs = [RunState(s.label, config_hash(s.config)) for s in specs]
+                request = admit(kind, manifest)
             except Exception as exc:
+                state.status = "failed"
+                state.error = f"resume: manifest no longer valid: {exc}"
                 if self.journal is not None:
                     self.journal.finished(cid, "failed")
-                self._campaigns[cid] = CampaignState(
-                    id=cid,
-                    manifest=dict(manifest),
-                    kind=kind,
-                    status="failed",
-                    error=f"resume: manifest no longer valid: {exc}",
-                    submitted_at=time.time(),
-                    resumed=True,
-                )
                 continue
-            self._campaigns[cid] = CampaignState(
-                id=cid,
-                manifest=dict(manifest),
-                kind=kind,
-                runs=runs,
-                submitted_at=time.time(),
-                resumed=True,
-            )
-            self._queue.put((kind, cid, payload))
+            state.runs = _run_states(request)
+            self._queue.put((cid, request, expected))
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> None:
@@ -260,15 +253,19 @@ class CampaignQueue:
             self._thread = None
 
     # ----------------------------------------------------------- submission
-    def submit(self, manifest: Mapping) -> dict:
-        """Validate a manifest, enqueue the campaign, return its status.
+    def submit(self, manifest: Mapping, kind: str = "campaign") -> dict:
+        """Validate a ``campaign`` or ``sweep`` manifest, enqueue it,
+        return its status.
 
+        A campaign's runs are known at submission.  A sweep's start empty:
+        the adaptive search *chooses* its probes as earlier ones complete,
+        so its :class:`RunState` entries are appended live, and the
+        finished envelope report lands on the state's ``report`` field.
         Raises :class:`~repro.service.schemas.ManifestError` on any
         validation failure — nothing invalid ever reaches the worker —
         and :class:`QueueFullError` when the bounded queue is at depth.
         """
-        specs = manifest_specs(manifest)
-        runs = [RunState(s.label, config_hash(s.config)) for s in specs]
+        request = admit(kind, manifest)
         with self._lock:
             self._check_capacity()
             self._seq += 1
@@ -276,44 +273,15 @@ class CampaignQueue:
             state = CampaignState(
                 id=cid,
                 manifest=dict(manifest),
-                runs=runs,
+                kind=kind,
+                runs=_run_states(request),
                 submitted_at=time.time(),
             )
             self._campaigns[cid] = state
             snapshot = state.to_dict()
         if self.journal is not None:
-            self.journal.submitted(cid, "campaign", manifest)
-        self._queue.put(("campaign", cid, specs))
-        return snapshot
-
-    def submit_sweep(self, manifest: Mapping) -> dict:
-        """Validate a sweep manifest, enqueue the capacity sweep.
-
-        Unlike :meth:`submit`, the run list starts empty: the adaptive
-        search *chooses* its probes as earlier ones complete, so
-        :class:`RunState` entries are appended live (each probe config is
-        one run, exactly as cached).  The finished envelope report lands
-        on the state's ``report`` field.  Raises
-        :class:`~repro.service.schemas.ManifestError` on any validation
-        failure — including trace-replay scenarios, whose arrival rate a
-        sweep cannot scale — and :class:`QueueFullError` at depth.
-        """
-        request = sweep_request(manifest)
-        with self._lock:
-            self._check_capacity()
-            self._seq += 1
-            cid = f"c{self._seq:06d}"
-            state = CampaignState(
-                id=cid,
-                manifest=dict(manifest),
-                kind="sweep",
-                submitted_at=time.time(),
-            )
-            self._campaigns[cid] = state
-            snapshot = state.to_dict()
-        if self.journal is not None:
-            self.journal.submitted(cid, "sweep", manifest)
-        self._queue.put(("sweep", cid, request))
+            self.journal.submitted(cid, kind, manifest)
+        self._queue.put((cid, request, None))
         return snapshot
 
     def _check_capacity(self) -> None:
@@ -395,14 +363,11 @@ class CampaignQueue:
         # instead of racing to drain it inside the shutdown window.
         while not self._stop.is_set():
             try:
-                kind, cid, payload = self._queue.get(timeout=0.2)
+                cid, request, expected = self._queue.get(timeout=0.2)
             except _queuemod.Empty:
                 continue
             try:
-                if kind == "sweep":
-                    self._process_sweep(cid, payload)
-                else:
-                    self._process(cid, payload)
+                self._process(cid, request, expected)
             finally:
                 self._queue.task_done()
 
@@ -414,35 +379,24 @@ class CampaignQueue:
         state.version += 1
         self._changed.notify_all()
 
-    def _set_run(self, cid: str, label: str, **updates) -> None:
-        with self._lock:
-            state = self._campaigns[cid]
-            for run in state.runs:
-                if run.label == label:
-                    for key, value in updates.items():
-                        setattr(run, key, value)
-                    self._bump(state)
-                    return
-
-    def _upsert_run(self, cid: str, label: str, config_hash: str, **updates) -> None:
-        """Update a run state, appending it first if unknown.
-
-        Sweep probes are chosen adaptively, so their run states cannot be
-        pre-declared at submission like a campaign's fixed grid.
-        """
+    def _set_run(self, cid: str, label: str, key: str, **updates) -> None:
+        """Update a run state, appending it first if unknown (a sweep's
+        probes are not known before they are chosen)."""
         with self._lock:
             state = self._campaigns[cid]
             for run in state.runs:
                 if run.label == label:
                     break
             else:
-                run = RunState(label, config_hash)
+                run = RunState(label, key)
                 state.runs.append(run)
-            for key, value in updates.items():
-                setattr(run, key, value)
+            for name, value in updates.items():
+                setattr(run, name, value)
             self._bump(state)
 
-    def _process(self, cid: str, specs: "list[RunSpec]") -> None:
+    def _process(
+        self, cid: str, request: "Request", expected: "Optional[dict]"
+    ) -> None:
         with self._lock:
             state = self._campaigns[cid]
             state.status = "running"
@@ -450,80 +404,10 @@ class CampaignQueue:
             self._bump(state)
 
         def on_start(spec: "RunSpec", key: str) -> None:
-            self._set_run(cid, spec.label, status="running")
+            self._set_run(cid, spec.label, key, status="running")
 
         def on_done(run: "CampaignRun") -> None:
             self._set_run(
-                cid,
-                run.label,
-                status="done",
-                from_cache=run.from_cache,
-                wall_seconds=run.wall_seconds,
-                act=float(run.result.act),
-                ae=float(run.result.ae),
-                n_done=run.result.n_done,
-                n_workflows=run.result.n_workflows,
-            )
-            self.index.record(
-                entry_from_result(
-                    run.cache_key,
-                    run.result,
-                    label=run.label,
-                    campaign_id=cid,
-                    source="service",
-                    from_cache=run.from_cache,
-                )
-            )
-
-        kwargs: dict = {}
-        if self.runner is not None:
-            kwargs["runner"] = self.runner
-        runner = CampaignRunner(
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            use_cache=self.use_cache,
-            mp_context=self.mp_context,
-            progress=on_done,
-            on_start=on_start,
-            faults=self.faults,
-            stats=self.stats,
-            **kwargs,
-        )
-        try:
-            runner.run(specs)
-        except CampaignError as exc:
-            with self._lock:
-                state.status = "failed"
-                state.error = str(exc)
-        except Exception as exc:  # pragma: no cover - defensive: never wedge
-            with self._lock:
-                state.status = "failed"
-                state.error = f"{type(exc).__name__}: {exc}"
-        else:
-            with self._lock:
-                state.status = "done"
-        finally:
-            with self._lock:
-                state.finished_at = time.time()
-                final = state.status
-                self._bump(state)
-            if self.journal is not None:
-                self.journal.finished(cid, final)
-
-    def _process_sweep(self, cid: str, request: dict) -> None:
-        from repro.experiments.sweep import SweepError, SweepSettings, run_sweep
-
-        with self._lock:
-            state = self._campaigns[cid]
-            state.status = "running"
-            state.started_at = time.time()
-            self._bump(state)
-
-        def on_start(spec: "RunSpec", key: str) -> None:
-            self._upsert_run(cid, spec.label, key, status="running")
-
-        def on_done(run: "CampaignRun") -> None:
-            self._upsert_run(
                 cid,
                 run.label,
                 run.cache_key,
@@ -543,34 +427,26 @@ class CampaignQueue:
                     campaign_id=cid,
                     source="service",
                     from_cache=run.from_cache,
+                    digest=run.digest(),
                 )
             )
 
-        kwargs: dict = {}
-        if self.runner is not None:
-            kwargs["runner"] = self.runner
+        options: dict = {} if self.runner is None else {"runner": self.runner}
         try:
-            report = run_sweep(
-                request["scenarios"],
-                request["algorithms"],
-                settings=SweepSettings(
-                    threshold=request["threshold"],
-                    resolution=request["resolution"],
-                    max_scale=request["max_scale"],
-                    seeds=tuple(request["seeds"]),
-                ),
+            outcome = execute(
+                request,
+                progress=on_done,
+                on_start=on_start,
+                expected=expected,
                 jobs=self.jobs,
                 cache_dir=self.cache_dir,
                 use_cache=self.use_cache,
                 mp_context=self.mp_context,
-                run_progress=on_done,
-                run_on_start=on_start,
                 faults=self.faults,
                 stats=self.stats,
-                **kwargs,
-                **request["overrides"],
+                **options,
             )
-        except (SweepError, CampaignError) as exc:
+        except CampaignError as exc:
             with self._lock:
                 state.status = "failed"
                 state.error = str(exc)
@@ -581,7 +457,8 @@ class CampaignQueue:
         else:
             with self._lock:
                 state.status = "done"
-                state.report = report
+                if request.kind == "sweep":
+                    state.report = outcome
         finally:
             with self._lock:
                 state.finished_at = time.time()
@@ -589,3 +466,10 @@ class CampaignQueue:
                 self._bump(state)
             if self.journal is not None:
                 self.journal.finished(cid, final)
+
+
+def _run_states(request: "Request") -> "list[RunState]":
+    """A campaign's runs, known at submission; a sweep's start empty."""
+    if request.kind == "sweep":
+        return []
+    return [RunState(spec.label, key) for spec, key in zip(request.specs, request.keys)]

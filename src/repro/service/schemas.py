@@ -1,7 +1,7 @@
-"""Campaign manifests and JSON serialization for the service layer.
+"""Request bodies and JSON serialization for the service layer.
 
-A *manifest* is the JSON body of ``POST /campaigns`` — the service-side
-equivalent of a ``repro campaign`` invocation::
+A *manifest* is the JSON body of ``POST /campaigns`` (or ``POST
+/sweeps``)::
 
     {
       "scenario": "poisson-steady",
@@ -10,31 +10,35 @@ equivalent of a ``repro campaign`` invocation::
       "overrides": {"n_nodes": 40, "total_time": 21600.0}
     }
 
-Validation is strict and *structured*: every rejection raises
-:class:`ManifestError` carrying a stable machine-readable ``code`` and the
-offending ``field``, which the HTTP layer turns into a 4xx JSON body — a
-malformed manifest must never 500 or wedge the worker.  Config-level
-checks are delegated to :class:`~repro.experiments.config.ExperimentConfig`
-itself, so the service accepts exactly what the CLI accepts.
+Validation and resolution are :mod:`repro.experiments.request`'s, the
+same code ``repro campaign``, ``repro sweep`` and :mod:`repro.api` call;
+every rejection is a :class:`ManifestError` with a stable ``code``, which
+the HTTP layer turns into a 4xx JSON body.  Two things are the service's
+own: its base is the paper-scale ``ExperimentConfig()`` (the CLI's is
+``--profile``), and it caps the body size and the length of the
+algorithm, seed and scenario lists, so that one request stays one
+campaign, not a denial of service.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Mapping, Optional
+from typing import TYPE_CHECKING, Mapping
+
+from repro.experiments.request import ManifestError, resolve
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.campaign import RunSpec
+    from repro.experiments.request import Request
     from repro.metrics.collectors import RunResult
 
 __all__ = [
-    "MANIFEST_KEYS",
     "MAX_ALGORITHMS",
     "MAX_BODY_BYTES",
     "MAX_SCENARIOS",
     "MAX_SEEDS",
-    "SWEEP_MANIFEST_KEYS",
     "ManifestError",
+    "admit",
     "manifest_specs",
     "parse_manifest",
     "result_to_dict",
@@ -43,44 +47,11 @@ __all__ = [
 
 #: Request bodies above this size are rejected outright (HTTP 413).
 MAX_BODY_BYTES = 256 * 1024
-#: Sweep-shape caps: a manifest is one campaign, not a denial of service.
+#: Request-shape caps: a manifest is one campaign, not a denial of service.
 MAX_ALGORITHMS = 16
 MAX_SEEDS = 64
 MAX_SCENARIOS = 8
-
-#: The complete set of top-level manifest keys.
-MANIFEST_KEYS = frozenset({"scenario", "algorithms", "seeds", "overrides"})
-
-#: The complete set of top-level keys of a ``POST /sweeps`` body (the
-#: capacity-sweep variant: plural ``scenarios`` plus the search criterion).
-SWEEP_MANIFEST_KEYS = frozenset(
-    {"scenarios", "algorithms", "seeds", "overrides",
-     "threshold", "resolution", "max_scale"}
-)
-
-#: Override keys that are per-cell sweep axes (or provenance), never
-#: free-form overrides — mirrors the CLI's ``--set`` guard rails.
-_RESERVED_OVERRIDES = ("algorithm", "seed", "scenario")
-
-
-class ManifestError(ValueError):
-    """A campaign manifest failed validation (HTTP 4xx, structured body).
-
-    ``code`` is a stable machine-readable slug; ``field`` names the
-    offending manifest key (``None`` when the body as a whole is bad).
-    """
-
-    def __init__(self, code: str, message: str, field: Optional[str] = None):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.field = field
-
-    def to_dict(self) -> dict:
-        error = {"code": self.code, "message": self.message}
-        if self.field is not None:
-            error["field"] = self.field
-        return {"error": error}
+_LIMITS = {"algorithms": MAX_ALGORITHMS, "seeds": MAX_SEEDS, "scenarios": MAX_SCENARIOS}
 
 
 def parse_manifest(body: bytes) -> dict:
@@ -96,7 +67,9 @@ def parse_manifest(body: bytes) -> dict:
         )
     try:
         manifest = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and integer literals past
+        # the int-to-str digit limit; RecursionError, nesting too deep.
         raise ManifestError(
             "malformed-json", f"request body is not valid JSON: {exc}"
         ) from None
@@ -108,260 +81,21 @@ def parse_manifest(body: bytes) -> dict:
     return manifest
 
 
-def _check_algorithms(manifest: Mapping) -> list[str]:
-    algorithms = manifest.get("algorithms", ["dsmf"])
-    if (
-        not isinstance(algorithms, list)
-        or not algorithms
-        or not all(isinstance(a, str) for a in algorithms)
-    ):
-        raise ManifestError(
-            "invalid-algorithms",
-            "algorithms must be a non-empty list of strings",
-            field="algorithms",
-        )
-    if len(algorithms) > MAX_ALGORITHMS:
-        raise ManifestError(
-            "too-many-algorithms",
-            f"{len(algorithms)} algorithms exceed the limit of {MAX_ALGORITHMS}",
-            field="algorithms",
-        )
-    from repro.core.heuristics.registry import algorithm_names
-
-    known = algorithm_names()
-    for name in algorithms:
-        if name not in known:
-            raise ManifestError(
-                "unknown-algorithm",
-                f"unknown algorithm {name!r}; available: {', '.join(known)}",
-                field="algorithms",
-            )
-    return algorithms
-
-
-def _check_seeds(manifest: Mapping) -> list[int]:
-    seeds = manifest.get("seeds", [1])
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
-    ):
-        raise ManifestError(
-            "invalid-seeds",
-            "seeds must be a non-empty list of integers",
-            field="seeds",
-        )
-    if len(seeds) > MAX_SEEDS:
-        raise ManifestError(
-            "too-many-seeds",
-            f"oversized seed list: {len(seeds)} seeds exceed the limit of {MAX_SEEDS}",
-            field="seeds",
-        )
-    if any(s < 0 for s in seeds):
-        raise ManifestError(
-            "invalid-seeds", "seeds must be non-negative", field="seeds"
-        )
-    return seeds
-
-
-def _check_scenario(manifest: Mapping) -> Optional[str]:
-    scenario = manifest.get("scenario")
-    if scenario is None:
-        return None
-    from repro.workload.scenarios import scenario_names
-
-    if not isinstance(scenario, str) or scenario not in scenario_names():
-        raise ManifestError(
-            "unknown-scenario",
-            f"unknown scenario {scenario!r}; available: {', '.join(scenario_names())}",
-            field="scenario",
-        )
-    return scenario
-
-
-def _check_overrides(manifest: Mapping) -> dict:
-    overrides = manifest.get("overrides", {})
-    if not isinstance(overrides, dict) or not all(
-        isinstance(k, str) for k in overrides
-    ):
-        raise ManifestError(
-            "invalid-overrides",
-            "overrides must be an object mapping config field names to values",
-            field="overrides",
-        )
-    for key in _RESERVED_OVERRIDES:
-        if key in overrides:
-            raise ManifestError(
-                "invalid-overrides",
-                f"override {key!r} is reserved; use the matching top-level "
-                "manifest field instead",
-                field="overrides",
-            )
-    return overrides
+def admit(kind: str, manifest: Mapping) -> "Request":
+    """Resolve a ``campaign`` or ``sweep`` manifest as the service runs it:
+    over ``ExperimentConfig()``, within the service's list caps."""
+    return resolve(kind, manifest, limits=_LIMITS)
 
 
 def manifest_specs(manifest: Mapping) -> "list[RunSpec]":
-    """Validate a manifest and expand it into the campaign's run specs.
-
-    The resolution order matches :func:`repro.api.run_campaign`: the
-    scenario preset's overrides are applied to the config defaults, the
-    manifest's explicit ``overrides`` win over the preset, and the
-    (algorithm × seed) grid is stamped per cell.  Any rejection — unknown
-    names, bad value types, inverted ranges, duplicate cells — raises
-    :class:`ManifestError`.
-    """
-    if not isinstance(manifest, Mapping):
-        raise ManifestError(
-            "malformed-manifest",
-            f"manifest must be a JSON object, got {type(manifest).__name__}",
-        )
-    unknown = sorted(set(manifest) - MANIFEST_KEYS)
-    if unknown:
-        raise ManifestError(
-            "unknown-field",
-            f"unknown manifest field(s): {', '.join(unknown)}; "
-            f"expected a subset of {{{', '.join(sorted(MANIFEST_KEYS))}}}",
-            field=unknown[0],
-        )
-    algorithms = _check_algorithms(manifest)
-    seeds = _check_seeds(manifest)
-    scenario = _check_scenario(manifest)
-    overrides = _check_overrides(manifest)
-
-    from repro.experiments.campaign import sweep_specs
-    from repro.experiments.config import ExperimentConfig
-
-    try:
-        base = ExperimentConfig()
-        if scenario is not None:
-            from repro.workload.scenarios import apply_scenario
-
-            base = apply_scenario(base, scenario)
-        if overrides:
-            base = base.with_(**overrides)
-    except TypeError as exc:
-        # Unknown field names and type-incompatible values both surface as
-        # TypeError from the frozen dataclass / its validation comparisons.
-        raise ManifestError(
-            "invalid-overrides", f"bad config override: {exc}", field="overrides"
-        ) from None
-    except ValueError as exc:
-        raise ManifestError(
-            "invalid-overrides", f"bad config override: {exc}", field="overrides"
-        ) from None
-    try:
-        return sweep_specs(algorithms, seeds, base=base)
-    except (TypeError, ValueError) as exc:  # e.g. duplicate sweep cells
-        raise ManifestError("invalid-manifest", str(exc)) from None
+    """The run specs the service runs for a campaign manifest."""
+    return list(admit("campaign", manifest).specs)
 
 
 def sweep_request(manifest: Mapping) -> dict:
-    """Validate a ``POST /sweeps`` body into a normalized sweep request.
-
-    Same strictness contract as :func:`manifest_specs`: every rejection —
-    unknown keys, bad shapes, unknown scenario/algorithm names, criterion
-    values the search cannot use, a trace-replay scenario whose arrival
-    rate is fixed by its trace file — raises :class:`ManifestError` before
-    anything reaches the worker.  Returns the keyword arguments for
-    :func:`repro.experiments.sweep.run_sweep` (plus the validated
-    ``seeds``/criterion fields, normalized with defaults applied).
-    """
-    if not isinstance(manifest, Mapping):
-        raise ManifestError(
-            "malformed-manifest",
-            f"manifest must be a JSON object, got {type(manifest).__name__}",
-        )
-    unknown = sorted(set(manifest) - SWEEP_MANIFEST_KEYS)
-    if unknown:
-        raise ManifestError(
-            "unknown-field",
-            f"unknown sweep manifest field(s): {', '.join(unknown)}; "
-            f"expected a subset of {{{', '.join(sorted(SWEEP_MANIFEST_KEYS))}}}",
-            field=unknown[0],
-        )
-    scenarios = manifest.get("scenarios")
-    if (
-        not isinstance(scenarios, list)
-        or not scenarios
-        or not all(isinstance(s, str) for s in scenarios)
-    ):
-        raise ManifestError(
-            "invalid-scenarios",
-            "scenarios must be a non-empty list of scenario names",
-            field="scenarios",
-        )
-    if len(scenarios) > MAX_SCENARIOS:
-        raise ManifestError(
-            "too-many-scenarios",
-            f"{len(scenarios)} scenarios exceed the limit of {MAX_SCENARIOS}",
-            field="scenarios",
-        )
-    if len(set(scenarios)) != len(scenarios):
-        raise ManifestError(
-            "invalid-scenarios", "duplicate scenario in sweep request",
-            field="scenarios",
-        )
-    from repro.workload.scenarios import scenario_names
-
-    known = scenario_names()
-    for name in scenarios:
-        if name not in known:
-            raise ManifestError(
-                "unknown-scenario",
-                f"unknown scenario {name!r}; available: {', '.join(known)}",
-                field="scenarios",
-            )
-    algorithms = manifest.get("algorithms")
-    if algorithms is None:
-        algorithms = ["dsmf", "dheft", "heft", "smf"]
-    else:
-        algorithms = _check_algorithms(manifest)
-    if len(set(algorithms)) != len(algorithms):
-        raise ManifestError(
-            "invalid-algorithms", "duplicate algorithm in sweep request",
-            field="algorithms",
-        )
-    seeds = _check_seeds(manifest)
-    overrides = _check_overrides(manifest)
-
-    criterion = {}
-    for key, default in (
-        ("threshold", 0.95), ("resolution", 0.25), ("max_scale", 8.0)
-    ):
-        value = manifest.get(key, default)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ManifestError(
-                "invalid-criterion", f"{key} must be a number", field=key
-            )
-        criterion[key] = float(value)
-
-    from repro.experiments.sweep import SweepError, SweepSettings, _resolve_base
-
-    try:
-        SweepSettings(seeds=tuple(seeds), **criterion)
-    except SweepError as exc:
-        raise ManifestError("invalid-criterion", str(exc)) from None
-    for name in scenarios:
-        try:
-            _resolve_base(name, None, overrides)
-        except SweepError as exc:
-            # Trace-replay scenarios: the arrival rate is pinned by the
-            # trace file, so there is nothing for workload_scale to sweep.
-            raise ManifestError(
-                "unsweepable-scenario", str(exc), field="scenarios"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise ManifestError(
-                "invalid-overrides", f"bad config override: {exc}",
-                field="overrides",
-            ) from None
-    return {
-        "scenarios": scenarios,
-        "algorithms": algorithms,
-        "seeds": seeds,
-        "overrides": overrides,
-        **criterion,
-    }
+    """The :func:`~repro.experiments.sweep.run_sweep` arguments the service
+    runs for a sweep manifest, with defaults applied."""
+    return admit("sweep", manifest).sweep
 
 
 def result_to_dict(result: "RunResult") -> dict:

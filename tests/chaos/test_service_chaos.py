@@ -160,6 +160,40 @@ class TestRestartResume:
         # The finish was journaled: a third boot replays nothing.
         client.wait("c000002", timeout=60.0, poll=1.0)
 
+    @pytest.mark.parametrize("edited, status", [(False, "done"), (True, "failed")])
+    def test_resumed_campaign_checks_replayed_digests(
+        self, make_service, tmp_path, edited, status
+    ):
+        """A restarted service replays a journaled campaign's finished
+        cells from cache and checks each against the result digest the
+        experiment index recorded, as ``repro campaign --resume`` does."""
+        journal_path = tmp_path / "service.jsonl"
+        index_path = tmp_path / "cache" / "experiments.jsonl"
+        server, client = make_service(client_retries=1, journal_path=journal_path)
+        primed = client.submit(tiny_manifest())
+        assert client.wait(primed["id"], timeout=60.0, poll=1.0)["status"] == "done"
+        server.shutdown()
+        server.server_close()
+        server.state.close()
+
+        # A killed process left a campaign over the primed cell unfinished.
+        with journal_path.open("a") as fh:
+            fh.write(json.dumps({
+                "event": "submitted", "id": "c000009", "kind": "campaign",
+                "manifest": tiny_manifest(),
+            }) + "\n")
+        [entry] = [json.loads(line) for line in index_path.read_text().splitlines()]
+        if edited:
+            entry["digest"] = "0" * 64
+        index_path.write_text(json.dumps(entry) + "\n")
+
+        server, client = make_service(client_retries=1, journal_path=journal_path)
+        record = client.wait("c000009", timeout=60.0, poll=1.0)
+        assert record["resumed"] is True
+        assert record["n_cached"] == 1
+        assert record["status"] == status, record
+        assert ("diverged" in (record["error"] or "")) is edited
+
     def test_invalid_journaled_manifest_fails_cleanly(self, make_service, tmp_path):
         journal_path = tmp_path / "service.jsonl"
         journal_path.write_text(

@@ -155,3 +155,34 @@ def test_parser_profile_choices():
 def test_missing_command_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.fixture
+def no_runs(monkeypatch):
+    """Fail the test if any cell is handed to a runner."""
+    from repro.experiments.campaign import CampaignRunner
+
+    def run(self, specs):
+        pytest.fail(f"a run started: {[s.label for s in specs]}")
+
+    monkeypatch.setattr(CampaignRunner, "run", run)
+
+
+@pytest.mark.parametrize(
+    "override, fragment",
+    [
+        ("workload_path=5", "workload_path must be a path string"),
+        ("total_time=1e999", "total_time must be finite"),
+        ("workload_scale=-1e999", "workload_scale must be finite"),
+        ("telemetry=b'x'", "Object of type bytes is not JSON serializable"),
+    ],
+)
+def test_campaign_rejects_unrunnable_override(no_runs, override, fragment):
+    with pytest.raises(SystemExit, match=f"invalid --set override: {fragment}"):
+        main(["campaign", "--set", override, "--no-cache", "--quiet"])
+
+
+def test_sweep_rejects_duplicate_scenarios(no_runs):
+    with pytest.raises(SystemExit, match="duplicate scenario"):
+        main(["sweep", "--quick", "--no-cache", "--quiet",
+              "--scenarios", "paper-fig4", "paper-fig4"])

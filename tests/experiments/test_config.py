@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.experiments.config import (
@@ -190,3 +193,37 @@ def test_churn_enabled_per_model():
     assert ExperimentConfig(dynamic_factor=0.2).churn_enabled()
     for model in ("sessions", "trace", "correlated", "ramp"):
         assert ExperimentConfig(churn_model=model).churn_enabled()
+
+
+_FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_non_finite_floats_rejected(field, value):
+    """NaN passes every ordered comparison, and a NaN or infinite horizon
+    never ends a run; both are refused by validation alone."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"load_range": (100.0, math.inf)},
+        {"capacities": (1.0, math.nan)},
+        {"n_nodes": math.nan},
+    ],
+)
+def test_non_finite_values_rejected_in_any_field(overrides):
+    with pytest.raises(ValueError, match="must be finite"):
+        ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("field", ["workload_path", "availability_path"])
+@pytest.mark.parametrize("value", [5, 1.5, ["a.json"], True])
+def test_path_fields_must_be_strings(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be a path string"):
+        ExperimentConfig(**{field: value})

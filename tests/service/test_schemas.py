@@ -43,6 +43,19 @@ def test_parse_manifest_rejects_malformed_json():
     assert err.code == "malformed-json"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        b'{"seeds": [' + b"1" * 5000 + b"]}",  # past the int digit limit
+    ],
+)
+def test_parse_manifest_rejects_json_python_cannot_decode(body):
+    """Both used to escape as RecursionError/ValueError and drop the
+    connection instead of answering 400."""
+    assert _error(parse_manifest, body).code == "malformed-json"
+
+
 def test_parse_manifest_rejects_non_object():
     err = _error(parse_manifest, b"[1, 2, 3]")
     assert err.code == "malformed-manifest"

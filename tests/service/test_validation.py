@@ -5,11 +5,14 @@ campaign to completion afterwards)."""
 from __future__ import annotations
 
 import json
+import math
+import threading
 import urllib.request
 
 import pytest
 
-from repro.service.client import ServiceError
+from repro.service.app import ServiceServer, ServiceState
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.schemas import MAX_SEEDS
 
 
@@ -74,6 +77,53 @@ def test_oversized_workflow_ranges_are_400(service, overrides):
     _expect_error(client, {"overrides": overrides}, 400, "invalid-overrides")
 
 
+def test_non_string_path_override_is_400(service):
+    """It used to pass validation and crash the config hash, dropping the
+    connection without a response."""
+    _, client = service
+    _expect_error(client, {"overrides": {"workload_path": 5}}, 400, "invalid-overrides")
+
+
+@pytest.fixture
+def idle_service(tmp_path):
+    """A live server whose queue worker never starts, so a request the
+    door wrongly accepts is queued, never run."""
+    state = ServiceState(cache_dir=tmp_path / "cache")
+    server = ServiceServer(("127.0.0.1", 0), state)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield ServiceClient(f"http://{host}:{port}", timeout=15.0)
+    finally:
+        server.shutdown()
+        server.server_close()
+        state.close()
+        thread.join(5)
+
+
+@pytest.mark.parametrize(
+    "kind, manifest, code",
+    [
+        ("campaign", {"overrides": {"total_time": math.nan}}, "invalid-overrides"),
+        ("campaign", {"overrides": {"total_time": math.inf}}, "invalid-overrides"),
+        ("campaign", {"overrides": {"workload_scale": math.inf}}, "invalid-overrides"),
+        ("sweep", {"scenarios": ["paper-fig4"], "overrides": {"total_time": math.nan}},
+         "invalid-overrides"),
+        ("sweep", {"scenarios": ["paper-fig4"], "max_scale": math.inf}, "invalid-criterion"),
+    ],
+)
+def test_non_finite_numbers_are_400(idle_service, kind, manifest, code):
+    """JSON's NaN and Infinity literals would start a run that never ends."""
+    submit = idle_service.submit_sweep if kind == "sweep" else idle_service.submit
+    with pytest.raises(ServiceError) as exc_info:
+        submit(manifest)
+    assert (exc_info.value.status, exc_info.value.code) == (400, code)
+    assert idle_service.campaigns() == []
+
+
 def test_oversized_seed_list_is_400(service):
     _, client = service
     _expect_error(
@@ -134,6 +184,7 @@ def test_worker_survives_a_barrage_of_bad_manifests(service, tiny_manifest):
         {"seeds": list(range(MAX_SEEDS + 1))},
         {"overrides": {"n_nodes": "lots"}},
         {"overrides": {"task_range": [2, 1_000_000_000]}},
+        {"overrides": {"workload_path": 5}},
         {"unknown_field": 1},
     ]
     for manifest in bad_manifests:
