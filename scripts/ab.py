@@ -11,8 +11,19 @@ median, and the pairs the working tree won (ties count for neither)::
     python3 scripts/ab.py --base HEAD~1 --workloads metro-1k fig10-dynamic \\
         --first-seed 6601 --pairs 10
 
-Pick seeds that were not used while writing the change.  The exit status
-is 1 when any run failed a check or reported failed operations.
+Pick seeds that were not used while writing the change.
+
+The exit status is the performance gate CI runs.  It is 1 when any run
+failed a check or reported failed operations, or when, on some workload
+and end-to-end metric, the change both
+
+* has a median worse than the parent's by more than the metric's
+  ``bound`` (a fraction of the parent's median; "worse" follows the
+  metric's ``better`` direction), and
+* lost more than half of the pairs that measured the metric (a tie is
+  neither a win nor a loss).
+
+A metric that fewer than two pairs measured is not gated.
 """
 
 from __future__ import annotations
@@ -62,30 +73,53 @@ def _cell(values: list[float]) -> str:
     return f"{_num(statistics.median(values))} [{_num(q1)}, {_num(q3)}]"
 
 
-def summarize(workload: str, seeds: list[int], pairs: list[tuple[dict, dict]],
-              metrics: list[dict]) -> list[str]:
-    """Table rows for one workload: ``pairs`` holds ``(base, change)``
-    results per seed, ``metrics`` the ``end_to_end`` entries of
-    ``BENCHMARK.json``.  A metric needs two pairs in which both sides
-    measured it."""
-    label = f"`{workload}` (seeds {seeds[0]}–{seeds[-1]})"
-    rows = []
+def _delta(mb: float, mc: float) -> str:
+    return f"{100.0 * (mc - mb) / mb:+.1f}%" if mb else "—"
+
+
+def compared(pairs: list[tuple[dict, dict]], metrics: list[dict]):
+    """``(metric, gains, base values, change values)`` for every metric
+    that at least two pairs measured on both sides.  A pair's gain is its
+    change minus its base, signed so that positive is better."""
     for metric in metrics:
         name = metric["name"]
         both = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
                 for b, c in pairs if name in b["metrics"] and name in c["metrics"]]
         if len(both) < 2:
             continue
-        base = [b for b, _ in both]
-        change = [c for _, c in both]
         sign = -1.0 if metric["better"] == "lower" else 1.0
-        wins = sum(1 for b, c in both if sign * (c - b) > 0)
-        mb, mc = statistics.median(base), statistics.median(change)
-        delta = f"{100.0 * (mc - mb) / mb:+.1f}%" if mb else "—"
-        rows.append(f"| {label} | `{name}` | {_cell(base)} | {_cell(change)} | "
-                    f"{delta} | {wins}/{len(both)} |")
+        yield (metric, [sign * (c - b) for b, c in both],
+               [b for b, _ in both], [c for _, c in both])
+
+
+def summarize(workload: str, seeds: list[int], pairs: list[tuple[dict, dict]],
+              metrics: list[dict]) -> list[str]:
+    """Table rows for one workload: ``pairs`` holds ``(base, change)``
+    results per seed, ``metrics`` the ``end_to_end`` entries of
+    ``BENCHMARK.json``."""
+    label = f"`{workload}` (seeds {seeds[0]}–{seeds[-1]})"
+    rows = []
+    for metric, gains, base, change in compared(pairs, metrics):
+        wins = sum(1 for g in gains if g > 0)
+        delta = _delta(statistics.median(base), statistics.median(change))
+        rows.append(f"| {label} | `{metric['name']}` | {_cell(base)} | {_cell(change)} | "
+                    f"{delta} | {wins}/{len(gains)} |")
         label = ""
     return rows
+
+
+def regressions(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> list[str]:
+    """The metrics on which the change fails the gate of the module
+    docstring, one line each."""
+    failed = []
+    for metric, gains, base, change in compared(pairs, metrics):
+        mb, mc = statistics.median(base), statistics.median(change)
+        worse = mc - mb if metric["better"] == "lower" else mb - mc
+        lost = sum(1 for g in gains if g < 0)
+        if worse > metric["bound"] * abs(mb) and 2 * lost > len(gains):
+            failed.append(f"`{metric['name']}` median {_delta(mb, mc)}, past its "
+                          f"{metric['bound']:.0%} bound, {lost}/{len(gains)} pairs lost")
+    return failed
 
 
 def failures(pairs: list[tuple[dict, dict]]) -> tuple[str, bool]:
@@ -137,7 +171,10 @@ def main(argv=None) -> int:
                     print(row, flush=True)
                 text, bad = failures(pairs)
                 print(f"{workload}: {text}", file=sys.stderr)
-                status = max(status, int(bad))
+                regressed = regressions(pairs, spec["end_to_end"])
+                for line in regressed:
+                    print(f"{workload}: gate failed: {line}", file=sys.stderr)
+                status = max(status, int(bad or bool(regressed)))
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(base)],
                            cwd=ROOT, capture_output=True)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, replace
+import numbers
+import reprlib
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 __all__ = ["ExperimentConfig", "ScaleProfile"]
@@ -200,6 +202,18 @@ class ExperimentConfig:
         for name in ("workload_path", "availability_path"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise TypeError(f"{name} must be a path string or None")
+        # A bool field holds a bool (the string "no" is truthy), and an int
+        # field an integer: NumPy integers pass, fractions and bools do not.
+        # reprlib bounds the message for a deeply nested value.
+        for name, kind in _TYPED.items():
+            value = getattr(self, name)
+            if kind == "bool":
+                if not isinstance(value, bool):
+                    raise TypeError(
+                        f"{name} must be True or False, got {reprlib.repr(value)}")
+            elif not (value is None and kind == "Optional[int]" or isinstance(
+                    value, numbers.Integral) and not isinstance(value, bool)):
+                raise TypeError(f"{name} must be an integer, got {reprlib.repr(value)}")
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
         if self.load_factor < 1:
@@ -246,6 +260,8 @@ class ExperimentConfig:
             raise ValueError("gossip_ttl and gossip_push_size must be >= 1")
         if self.rss_capacity is not None and self.rss_capacity < 1:
             raise ValueError("rss_capacity must be >= 1 (or None for auto)")
+        if self.n_landmarks is not None and self.n_landmarks < 1:
+            raise ValueError("n_landmarks must be >= 1 (or None for auto)")
         if self.rss_expiry_cycles <= 0:
             raise ValueError("rss_expiry_cycles must be positive")
         if not 0.0 <= self.dynamic_factor <= 1.0:
@@ -359,6 +375,10 @@ class ExperimentConfig:
         mean_bw = (self.bw_min + self.bw_max) / 2.0
         return (mean_data / mean_bw) / (mean_load / mean_cap)
 
+
+#: The bool and int fields by annotation, whose types ``__post_init__`` checks.
+_TYPED = {f.name: f.type for f in fields(ExperimentConfig)
+          if f.type in ("bool", "int", "Optional[int]")}
 
 #: Per-profile overrides applied by :func:`repro.experiments.figures.base_config`.
 PROFILE_OVERRIDES: dict[ScaleProfile, dict] = {

@@ -17,7 +17,9 @@ the HTTP layer turns into a 4xx JSON body.  Two things are the service's
 own: its base is the paper-scale ``ExperimentConfig()`` (the CLI's is
 ``--profile``), and it caps the body size and the length of the
 algorithm, seed and scenario lists, so that one request stays one
-campaign, not a denial of service.
+campaign, not a denial of service.  Nor may a client name a file for the
+server to read: the path fields are refused as overrides, and only the
+scenario presets that carry their own paths reach the disk.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ MAX_ALGORITHMS = 16
 MAX_SEEDS = 64
 MAX_SCENARIOS = 8
 _LIMITS = {"algorithms": MAX_ALGORITHMS, "seeds": MAX_SEEDS, "scenarios": MAX_SCENARIOS}
+#: Config fields that name a server-side file; no client may override them.
+_PATH_FIELDS = ("workload_path", "availability_path")
 
 
 def parse_manifest(body: bytes) -> dict:
@@ -83,7 +87,18 @@ def parse_manifest(body: bytes) -> dict:
 
 def admit(kind: str, manifest: Mapping) -> "Request":
     """Resolve a ``campaign`` or ``sweep`` manifest as the service runs it:
-    over ``ExperimentConfig()``, within the service's list caps."""
+    over ``ExperimentConfig()``, within the service's list caps, and with
+    no path override."""
+    overrides = manifest.get("overrides") if isinstance(manifest, Mapping) else None
+    if isinstance(overrides, Mapping):
+        for name in _PATH_FIELDS:
+            if name in overrides:
+                raise ManifestError(
+                    "invalid-overrides",
+                    f"override {name!r} would make the server read a file; "
+                    "only the scenario presets name files",
+                    field="overrides",
+                )
     return resolve(kind, manifest, limits=_LIMITS)
 
 

@@ -174,7 +174,7 @@ def no_runs(monkeypatch):
         ("workload_path=5", "workload_path must be a path string"),
         ("total_time=1e999", "total_time must be finite"),
         ("workload_scale=-1e999", "workload_scale must be finite"),
-        ("telemetry=b'x'", "Object of type bytes is not JSON serializable"),
+        ("telemetry=b'x'", "telemetry must be True or False"),
     ],
 )
 def test_campaign_rejects_unrunnable_override(no_runs, override, fragment):

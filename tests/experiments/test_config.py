@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments.config import (
@@ -76,6 +77,8 @@ def test_defaults_match_table1():
         ("diurnal_period", 0.0),
         ("task_range", (2, 10**9)),   # above MAX_TASKS
         ("fanout_range", (1, 1001)),  # above MAX_TASKS
+        ("n_landmarks", 0),
+        ("n_landmarks", -2),
     ],
 )
 def test_invalid_values_rejected(field, value):
@@ -227,3 +230,46 @@ def test_non_finite_values_rejected_in_any_field(overrides):
 def test_path_fields_must_be_strings(field, value):
     with pytest.raises(TypeError, match=f"{field} must be a path string"):
         ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("immediate_dispatch", "no"),  # truthy: it turned the ablation on
+        ("telemetry", [1]),
+        ("use_landmark_bandwidth", 0.0),
+        ("transfer_contention", 1),
+        ("reschedule_failed", None),
+    ],
+)
+def test_bool_fields_hold_bools(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be True or False"):
+        ExperimentConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_nodes", 5.5),
+        ("n_nodes", 40.0),
+        ("n_nodes", True),
+        ("seed", 1.5),
+        ("seed", None),
+        ("load_factor", 2.5),
+        ("gossip_ttl", 2.5),
+        ("gossip_push_size", "4"),
+        ("aggregation_restart_cycles", 12.0),
+        ("rss_capacity", 3.5),
+        ("n_landmarks", 2.5),
+        ("n_landmarks", False),
+    ],
+)
+def test_int_fields_hold_integers(field, value):
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        ExperimentConfig(**{field: value})
+
+
+def test_numpy_integers_and_none_pass_as_ints():
+    cfg = ExperimentConfig(n_nodes=np.int64(40), seed=np.uint32(3),
+                           n_landmarks=np.int16(2), rss_capacity=None)
+    assert (cfg.n_nodes, cfg.seed, cfg.n_landmarks) == (40, 3, 2)

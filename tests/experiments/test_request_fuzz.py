@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import fields
+from numbers import Integral
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,12 +81,20 @@ SWEEPS = st.fixed_dictionaries(
 
 
 def _check(configs) -> None:
-    """Resolved configs must be runnable: finite floats, a computable hash."""
+    """Resolved configs must be runnable: finite floats, bool fields that
+    hold bools, int fields that hold integers, and a computable hash."""
     for config in configs:
         for name, value in vars(config).items():
             for v in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(v, float):
                     assert math.isfinite(v), (name, value)
+        for f in fields(config):
+            value = getattr(config, f.name)
+            if f.type == "bool":
+                assert isinstance(value, bool), (f.name, value)
+            elif f.type == "int" or f.type == "Optional[int]" and value is not None:
+                assert isinstance(value, Integral) and not isinstance(value, bool), (
+                    f.name, value)
         config_hash(config)
 
 

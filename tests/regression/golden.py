@@ -153,7 +153,7 @@ def load_availability_golden() -> dict:
 
 # ------------------------------ metro-1k cell ------------------------------
 # The PR 5 scale-out core is pinned at production scale too: one
-# 1000-node `metro-1k` cell (dsmf, seed 1) at the bench `--quick` horizon,
+# 1000-node `metro-1k` cell (dsmf, seed 1) at a 2 h horizon,
 # so the regression job replays the indexed event queue, the batched
 # gossip fast paths and the `__slots__`-pooled runtime state against a
 # grid 25x larger than the base golden cells — in seconds, not minutes.
@@ -162,7 +162,7 @@ METRO_GOLDEN_PATH = Path(__file__).with_name("golden_metro.json")
 
 
 def metro_config() -> ExperimentConfig:
-    """The exact config of the metro-1k golden cell (bench quick shape)."""
+    """The exact config of the metro-1k golden cell (2 h horizon)."""
     base = ExperimentConfig(algorithm="dsmf", seed=1, task_range=(2, 30))
     return apply_scenario(base, "metro-1k").with_(total_time=2 * 3600.0)
 

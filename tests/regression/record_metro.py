@@ -5,7 +5,7 @@ Usage::
     PYTHONPATH=src python tests/regression/record_metro.py
 
 Regenerates ``golden_metro.json``: the result-digest fingerprint of the
-``metro-1k`` preset (dsmf, seed 1) at the bench ``--quick`` horizon.  Only
+``metro-1k`` preset (dsmf, seed 1) at a 2 h horizon.  Only
 run this when a PR *intentionally* changes simulation semantics at scale;
 perf refactors must replay the existing file bit-identically.
 """
@@ -32,7 +32,7 @@ def main() -> int:
     payload = {
         "description": (
             "metro-1k (1000 nodes, structured-mix, weibull-sessions churn) "
-            "dsmf seed-1 fingerprint at the bench --quick horizon; "
+            "dsmf seed-1 fingerprint at a 2 h horizon; "
             "re-record only for intentional semantic changes"
         ),
         "config": {

@@ -1,6 +1,6 @@
 """Golden fingerprint for the 1000-node ``metro-1k`` preset.
 
-One production-scale cell (dsmf, seed 1, bench ``--quick`` horizon)
+One production-scale cell (dsmf, seed 1, 2 h horizon)
 replayed bit-identically on every regression run: this is what pins the
 scale-out simulation core — the indexed event queue, the gossip fast
 paths and the ``__slots__``-pooled runtime state — against a grid 25x

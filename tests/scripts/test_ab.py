@@ -71,3 +71,63 @@ def test_parse_result_rejects_other_lines():
         ab.parse_result('{"metrics": {}}')
     with pytest.raises(ValueError):
         ab.parse_result("Traceback (most recent call last):")
+
+
+def paired(base, change, metric="run_s"):
+    """Canned pairs that differ only in ``metric``."""
+    return [(ab.parse_result(line(**{"run_s": 1.0, metric: b})),
+             ab.parse_result(line(**{"run_s": 1.0, metric: c})))
+            for b, c in zip(base, change)]
+
+
+def test_gate_fails_a_metric_past_its_bound_that_lost_most_pairs():
+    pairs = paired([2.0, 2.0, 2.0, 2.0, 2.0], [2.6, 2.6, 2.6, 1.9, 1.9])
+    assert ab.regressions(pairs, METRICS) == [
+        "`run_s` median +30.0%, past its 25% bound, 3/5 pairs lost"]
+
+
+@pytest.mark.parametrize("base, change", [
+    # Won three pairs: the median moved because the seeds differ.
+    ([1.0, 1.0, 1.0, 3.0, 3.0], [2.9, 2.9, 0.9, 2.9, 2.9]),
+    # Lost two pairs and tied two: ties count for neither side.
+    ([1.0, 1.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0]),
+])
+def test_gate_passes_a_metric_past_its_bound_that_won_or_tied_most_pairs(base, change):
+    assert ab.regressions(paired(base, change), METRICS) == []
+
+
+def test_gate_passes_a_metric_within_its_bound_that_lost_every_pair():
+    pairs = paired([2.0] * 5, [2.4] * 5)
+    assert ab.regressions(pairs, METRICS) == []
+    assert ab.summarize("metro-1k", [1, 2, 3, 4, 5], pairs, METRICS[:1])[0].endswith(
+        "| +20.0% | 0/5 |")
+
+
+def test_gate_mirrors_a_higher_is_better_metric():
+    assert ab.regressions(paired([1.0] * 4, [0.7] * 4, "score"), METRICS) == [
+        "`score` median -30.0%, past its 25% bound, 4/4 pairs lost"]
+    assert ab.regressions(paired([1.0] * 4, [1.3] * 4, "score"), METRICS) == []
+
+
+def test_gate_skips_a_metric_measured_in_fewer_than_two_pairs():
+    broken = {"correct": False, "attempted": 1, "failed": 1, "metrics": {}, "problems": ["x"]}
+    slow = paired([1.0], [10.0])[0]
+    pairs = [slow, (slow[0], broken), (slow[0], broken)]
+    assert ab.regressions(pairs, METRICS) == []
+
+
+def test_exit_status_is_the_gate(monkeypatch, capsys):
+    monkeypatch.setattr(ab.subprocess, "run", lambda *args, **kwargs: None)
+    monkeypatch.setattr(ab.signal, "signal", lambda *args: None)
+    argv = ["--base", "HEAD", "--workloads", "metro-1k", "--first-seed", "1",
+            "--pairs", "3"]
+
+    def runs(change_s):
+        return lambda tree, *_: ab.parse_result(
+            line(change_s if tree == ab.ROOT else 1.0))
+
+    monkeypatch.setattr(ab, "run_tree", runs(1.2))
+    assert ab.main(argv) == 0
+    monkeypatch.setattr(ab, "run_tree", runs(1.5))
+    assert ab.main(argv) == 1
+    assert "metro-1k: gate failed: `run_s` median +50.0%" in capsys.readouterr().err

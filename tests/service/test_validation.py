@@ -124,6 +124,35 @@ def test_non_finite_numbers_are_400(idle_service, kind, manifest, code):
     assert idle_service.campaigns() == []
 
 
+@pytest.mark.parametrize(
+    "kind, manifest",
+    [
+        ("campaign", {"overrides": {"workload_path": "/etc", "availability_path": "."}}),
+        ("campaign", {"overrides": {"availability_path": "data/traces/fta_sample.avail.json"}}),
+        ("sweep", {"scenarios": ["paper-fig4"], "overrides": {"workload_path": "/etc"}}),
+        # Typed fields: "no" is truthy and would turn the ablation on.
+        ("campaign", {"overrides": {"immediate_dispatch": "no"}}),
+        ("campaign", {"overrides": {"n_nodes": 40.5}}),
+    ],
+)
+def test_path_and_mistyped_overrides_are_400(idle_service, kind, manifest):
+    """A client may not name a file for the server to read, and a bool or
+    int field takes no other type."""
+    submit = idle_service.submit_sweep if kind == "sweep" else idle_service.submit
+    with pytest.raises(ServiceError) as exc_info:
+        submit(manifest)
+    assert (exc_info.value.status, exc_info.value.code) == (400, "invalid-overrides")
+    assert idle_service.campaigns() == []
+
+
+def test_bundled_trace_presets_run_with_their_own_paths(service):
+    _, client = service
+    for scenario in ("gwa-replay-small", "pwa-replay-small", "fta-churn-small"):
+        manifest = {"scenario": scenario, "overrides": {"total_time": 3 * 3600.0}}
+        record = client.wait(client.submit(manifest)["id"], timeout=60)
+        assert record["status"] == "done", (scenario, record)
+
+
 def test_oversized_seed_list_is_400(service):
     _, client = service
     _expect_error(
@@ -185,6 +214,7 @@ def test_worker_survives_a_barrage_of_bad_manifests(service, tiny_manifest):
         {"overrides": {"n_nodes": "lots"}},
         {"overrides": {"task_range": [2, 1_000_000_000]}},
         {"overrides": {"workload_path": 5}},
+        {"overrides": {"workload_path": "/etc", "availability_path": "."}},
         {"unknown_field": 1},
     ]
     for manifest in bad_manifests:
