@@ -1,24 +1,20 @@
 #!/usr/bin/env python
 """Render the paper-vs-measured record (markdown, one section per entry of
 ``repro.experiments.figures.FIGURES``) from the JSON produced by
-collect_experiments.py, or (with ``--bench-readme``) regenerate the bench
-trajectory tables in README.md *and* docs/performance.md from the
-committed ``BENCH_PR<N>.json`` reports.
+collect_experiments.py.
 
 Usage::
 
     python scripts/render_experiments.py --profile medium > EXPERIMENTS.md
-    python scripts/render_experiments.py --bench-readme            # rewrite both
-    python scripts/render_experiments.py --bench-readme --check    # CI drift gate
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
-import sys
 from pathlib import Path
+
+from repro.experiments.figures import FIGURES, fold_figure
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
@@ -35,99 +31,6 @@ PAPER_TABLE2 = {
     "min-min": (31977, 32874), "max-min": (33495, 33746),
     "sufferage": (30321, 32781), "dheft": (30728, 32636),
 }
-
-BENCH_BEGIN = "<!-- bench-trajectory:begin (generated by render_experiments.py --bench-readme) -->"
-BENCH_END = "<!-- bench-trajectory:end -->"
-_BENCH_NAME = re.compile(r"^BENCH_PR(\d+)\.json$")
-
-
-def load_bench_reports(root: Path) -> list[tuple[int, dict]]:
-    """Committed full-size bench reports as ``(pr_number, report)``,
-    oldest first.  Quick-mode reports (CI smoke baselines) and unreadable
-    files are skipped — the trajectory compares full runs only."""
-    reports = []
-    for path in sorted(root.glob("BENCH_PR*.json")):
-        match = _BENCH_NAME.match(path.name)
-        if match is None:
-            continue
-        try:
-            report = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if report.get("quick"):
-            continue
-        reports.append((int(match.group(1)), report))
-    reports.sort(key=lambda item: item[0])
-    return reports
-
-
-def render_bench_trajectory(reports: list[tuple[int, dict]]) -> str:
-    """The README trajectory table: one wall-time column per committed PR
-    report, the oldest→newest speedup, and the newest report's events/s."""
-    if not reports:
-        return "_No committed full-size `BENCH_PR*.json` reports found._"
-    by_pr = {pr: {s["name"]: s for s in rep.get("scenarios", [])} for pr, rep in reports}
-    prs = [pr for pr, _ in reports]
-    newest = prs[-1]
-    # Scenario order: newest report's order, then any older-only leftovers.
-    names = [s["name"] for s in reports[-1][1].get("scenarios", [])]
-    for pr, _ in reports:
-        for name in by_pr[pr]:
-            if name not in names:
-                names.append(name)
-    headers = (["scenario"] + [f"PR {pr} wall" for pr in prs]
-               + ["speedup", f"PR {newest} events/s"])
-    rows = []
-    for name in names:
-        row = [f"`{name}`"]
-        for pr in prs:
-            entry = by_pr[pr].get(name)
-            row.append(f"{entry['wall_seconds']:.2f} s" if entry else "—")
-        oldest_entry = by_pr[prs[0]].get(name)
-        newest_entry = by_pr[newest].get(name)
-        if oldest_entry and newest_entry and newest_entry["wall_seconds"] > 0:
-            row.append(f"{oldest_entry['wall_seconds'] / newest_entry['wall_seconds']:.2f}x")
-        else:
-            row.append("—")
-        row.append(f"{newest_entry['events_per_sec']:.0f}" if newest_entry else "—")
-        rows.append(row)
-    return table(headers, rows)
-
-
-def _splice_trajectory(target: Path, table_text: str, check: bool) -> int:
-    """Replace the marker-wrapped block in one file; 0 = fresh, 1 = drift
-    (check mode), 2 = markers missing."""
-    text = target.read_text()
-    begin = text.find(BENCH_BEGIN)
-    end = text.find(BENCH_END)
-    if begin == -1 or end == -1 or end < begin:
-        print(f"error: bench-trajectory markers not found in {target}", file=sys.stderr)
-        return 2
-    updated = text[:begin] + BENCH_BEGIN + "\n" + table_text + "\n" + text[end:]
-    if updated == text:
-        print(f"{target}: bench trajectory up to date")
-        return 0
-    if check:
-        print(f"error: {target} bench trajectory is stale — run "
-              "`python scripts/render_experiments.py --bench-readme`", file=sys.stderr)
-        return 1
-    target.write_text(updated)
-    print(f"{target}: bench trajectory regenerated")
-    return 0
-
-
-def update_bench_readme(readme: Path, check: bool = False) -> int:
-    """Rewrite the marker-wrapped trajectory tables from the committed
-    reports next to ``readme`` — in the README itself and, when present,
-    in ``docs/performance.md`` (the same table is published in both, so
-    one command and one CI check keep both fresh).  With ``check``, write
-    nothing and exit non-zero on drift (the CI gate)."""
-    table_text = render_bench_trajectory(load_bench_reports(readme.parent))
-    status = _splice_trajectory(readme, table_text, check)
-    performance = readme.parent / "docs" / "performance.md"
-    if performance.exists():
-        status = max(status, _splice_trajectory(performance, table_text, check))
-    return status
 
 
 def load(name: str, profile: str, results_dir: Path = RESULTS) -> dict:
@@ -257,9 +160,6 @@ def table2_rows(fig) -> list[list[object]]:
 
 def render(profile: str, results_dir: Path = RESULTS) -> str:
     """The record for one collected profile, as markdown."""
-    # Imported here: --bench-readme runs without the package installed.
-    from repro.experiments.figures import FIGURES, fold_figure
-
     data = {name: load(entry.figure, profile, results_dir) for name, entry in FIGURES.items()}
     figs = {
         name: fold_figure(entry, {r["label"]: RunRow(r) for r in data[name]["runs"]}, profile)
@@ -366,17 +266,7 @@ def render(profile: str, results_dir: Path = RESULTS) -> str:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--profile", default="medium")
-    ap.add_argument(
-        "--bench-readme", nargs="?", const=str(ROOT / "README.md"), default=None,
-        metavar="README", help="regenerate the bench trajectory table between the "
-        "bench-trajectory markers from committed BENCH_PR*.json reports (no "
-        "results/ needed)",
-    )
-    ap.add_argument("--check", action="store_true",
-                    help="with --bench-readme: don't write, exit non-zero on drift")
     args = ap.parse_args()
-    if args.bench_readme is not None:
-        raise SystemExit(update_bench_readme(Path(args.bench_readme), check=args.check))
     print(render(args.profile))
 
 

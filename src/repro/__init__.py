@@ -38,6 +38,7 @@ from repro.api import (
     quick_run,
     run_campaign,
     run_experiment,
+    run_manifest,
     run_sweep,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "quick_run",
     "run_campaign",
     "run_experiment",
+    "run_manifest",
     "run_sweep",
 ]

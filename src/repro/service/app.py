@@ -219,7 +219,7 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         headers: Optional[dict] = None,
     ) -> None:
-        self._status = status  # recorded by the request-metrics wrapper
+        self._count(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -267,8 +267,7 @@ class _Handler(BaseHTTPRequestHandler):
         parts = urlsplit(self.path)
         path = parts.path.rstrip("/") or "/"
         query = parse_qs(parts.query)
-        self._status = 500  # overwritten by _send_body on any response
-        t0 = time.perf_counter()
+        self._pending = (method, _route_label(method, path), time.perf_counter())
         try:
             faults = self.server.state.faults
             if faults.enabled:
@@ -276,7 +275,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if spec is not None:
                     time.sleep(spec.delay)
                 if faults.check("http.reset") is not None:
-                    self._status = 0
+                    self._count(0)
                     self.close_connection = True
                     try:
                         self.connection.shutdown(socket.SHUT_RDWR)
@@ -285,9 +284,17 @@ class _Handler(BaseHTTPRequestHandler):
                     return
             route_fn(path, query)
         finally:
+            self._count(500)  # no response was sent: an unhandled error
+
+    def _count(self, status: int) -> None:
+        """Count this request for /metrics, once and before its response
+        is written, so a client that has read the response finds it
+        counted by its next scrape."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            method, route, t0 = pending
             self.server.state.metrics.observe(
-                method, _route_label(method, path), self._status,
-                time.perf_counter() - t0,
+                method, route, status, time.perf_counter() - t0
             )
 
     def _route_get(self, path: str, query: dict) -> None:

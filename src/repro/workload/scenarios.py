@@ -141,9 +141,8 @@ register_scenario(
 )
 register_scenario(
     "fig11-grid",
-    "Fig. 11-style scalability setting: a large grid (4x the bench node "
-    "count, lighter per-node load) with Table I workflows batch submitted "
-    "— the preset the perf harness uses to time the hot path at scale.",
+    "Fig. 11-style scalability setting: a large grid (240 nodes, lighter "
+    "per-node load) with Table I workflows batch submitted.",
     n_nodes=240,
     load_factor=1,
     total_time=12 * 3600.0,
@@ -296,7 +295,7 @@ register_scenario(
     "Metro-scale trajectory point: 10,000 nodes (40x the paper's largest "
     "grid), structured-mix workloads, Weibull session churn with "
     "rescheduling — the frontier the batched gossip rounds exist for; a "
-    "shorter horizon than metro-1k keeps a full run in bench territory.",
+    "shorter horizon than metro-1k keeps a full run affordable.",
     kind="scale",
     n_nodes=10000,
     load_factor=1,

@@ -33,6 +33,25 @@ class TestMetricsEndpoint:
         assert samples['repro_service_campaigns{state="done"}'] == 0
         assert samples["repro_service_experiments"] == 0
 
+    def test_request_is_counted_before_its_response(self, service, monkeypatch):
+        """A request is counted before its response is written, so a scrape
+        made after the response arrives finds it even if counting is slow."""
+        server, client = service
+        metrics = server.state.metrics
+        observe = metrics.observe
+
+        def slow_observe(method, route, status, seconds):
+            if route == "/healthz":
+                time.sleep(0.3)
+            observe(method, route, status, seconds)
+
+        monkeypatch.setattr(metrics, "observe", slow_observe)
+        client.health()
+        samples = parse_prometheus(client.metrics())
+        assert samples.get(
+            'repro_http_requests_total{method="GET",route="/healthz",status="200"}'
+        ) == 1
+
     def test_content_type(self, service):
         import urllib.request
 

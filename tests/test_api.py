@@ -5,12 +5,19 @@ from __future__ import annotations
 import pytest
 
 import repro
+import repro.api
 from repro import available_algorithms, available_scenarios, quick_run, run_experiment
 from repro.experiments.config import ExperimentConfig
 
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
+
+
+def test_package_reexports_the_whole_api():
+    for name in repro.api.__all__:
+        assert name in repro.__all__
+        assert getattr(repro, name) is getattr(repro.api, name)
 
 
 def test_available_algorithms_contains_paper_set():
