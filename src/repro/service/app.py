@@ -23,11 +23,13 @@ Routes (JSON unless noted)::
                              per-route latency, campaign/index gauges)
 
 Request handling runs on :class:`~http.server.ThreadingHTTPServer` (one
-thread per connection) while simulation work stays on the queue's single
-worker thread — submissions return immediately with ``202 Accepted`` and
-clients poll (or long-poll).  Every error path returns a structured JSON
-body (``{"error": {"code", "message", ...}}``); manifest validation
-failures are 4xx by construction and can never wedge the worker.  With
+thread per connection; HTTP/1.1 connections persist, and every response
+goes out without waiting for the client's ACK) while simulation work
+stays on the queue's single worker thread — submissions return
+immediately with ``202 Accepted`` and clients poll (or long-poll).
+Every error path returns a structured JSON body (``{"error": {"code",
+"message", ...}}``); manifest validation failures are 4xx by
+construction and can never wedge the worker.  With
 ``--max-pending`` the backlog is bounded: submissions beyond it get
 ``429`` + a ``Retry-After`` header instead of unbounded queueing.
 Accepted submissions are journaled (``<cache_dir>/service.jsonl``), so a
@@ -38,6 +40,7 @@ experiment index recorded — on the next start against the same dirs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 import signal
@@ -56,7 +59,12 @@ from repro.obs.telemetry import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.service.index import ExperimentIndex
 from repro.service.journal import ServiceJournal
 from repro.service.queue import CampaignQueue, QueueFullError
-from repro.service.schemas import ManifestError, parse_manifest, result_to_dict
+from repro.service.schemas import (
+    MAX_BODY_BYTES,
+    ManifestError,
+    parse_manifest,
+    result_to_dict,
+)
 
 __all__ = [
     "MAX_WAIT_SECONDS",
@@ -205,6 +213,10 @@ class ServiceState:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: the headers and the body go out in two sends, and with
+    # Nagle's algorithm the second waits for the client's delayed ACK
+    # (about 40 ms) on every response of a kept-alive connection.
+    disable_nagle_algorithm = True
     server: "ServiceServer"
 
     # ------------------------------------------------------------- plumbing
@@ -225,6 +237,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, str(value))
+        if self._unread_body:
+            self.send_header("Connection", "close")  # sets close_connection
         self.end_headers()
         self.wfile.write(body)
 
@@ -268,6 +282,13 @@ class _Handler(BaseHTTPRequestHandler):
         path = parts.path.rstrip("/") or "/"
         query = parse_qs(parts.query)
         self._pending = (method, _route_label(method, path), time.perf_counter())
+        # A body no route reads would be parsed as the next request on a
+        # kept-alive connection, so a response sent before it is read
+        # closes the connection.
+        self._unread_body = (
+            self.headers.get("Content-Length", "0") != "0"
+            or "Transfer-Encoding" in self.headers
+        )
         try:
             faults = self.server.state.faults
             if faults.enabled:
@@ -390,6 +411,13 @@ class _Handler(BaseHTTPRequestHandler):
         robust = state.queue.stats
         families = state.metrics.families() + [
             (
+                "repro_http_connections_total",
+                "counter",
+                "TCP connections accepted (requests per connection is "
+                "repro_http_requests_total over this)",
+                [(None, float(self.server.connections))],
+            ),
+            (
                 "repro_service_campaigns",
                 "gauge",
                 "campaigns known to the queue, by lifecycle state",
@@ -475,7 +503,23 @@ class _Handler(BaseHTTPRequestHandler):
                 411, "length-required", f"POST {path} needs a Content-Length"
             )
             return
+        if length > MAX_BODY_BYTES:
+            # Refused before reading: a declared length is no promise that
+            # the bytes will come, and reading them would buffer them all.
+            self._send_error_json(
+                413, "body-too-large",
+                f"request body is {length} bytes; the limit is {MAX_BODY_BYTES}",
+            )
+            return
         body = self.rfile.read(length)
+        self._unread_body = False
+        if len(body) < length:
+            # The client stopped sending: a prefix is never a manifest.
+            self._send_error_json(
+                400, "incomplete-body",
+                f"request body ended after {len(body)} of {length} declared bytes",
+            )
+            return
         try:
             manifest = parse_manifest(body)
             kind = "sweep" if path == "/sweeps" else "campaign"
@@ -498,7 +542,12 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """One thread per connection; simulation stays on the queue worker."""
+    """One thread per connection; simulation stays on the queue worker.
+
+    Connections persist, so :meth:`server_close` also shuts down every
+    open one: its handler thread would otherwise go on serving requests
+    against the stopped server's state.
+    """
 
     daemon_threads = True
     allow_reuse_address = True
@@ -506,7 +555,30 @@ class ServiceServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], state: ServiceState, verbose: bool = False):
         self.state = state
         self.verbose = verbose
+        #: Connections accepted; only the serving thread increments it.
+        self.connections = 0
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        self.connections += 1
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._open_lock:
+            still_open = list(self._open)
+        for request in still_open:
+            with contextlib.suppress(OSError):  # already closed by its thread
+                request.shutdown(socket.SHUT_RDWR)
 
 
 def build_server(

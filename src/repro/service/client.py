@@ -4,12 +4,19 @@ Used by the CI service job and the concurrent-submission stress benchmark;
 also the easiest programmatic entry point::
 
     from repro.service import ServiceClient
-    client = ServiceClient("http://127.0.0.1:8642")
-    record = client.submit({"algorithms": ["dsmf"], "seeds": [1],
-                            "overrides": {"n_nodes": 40}})
-    record = client.wait(record["id"])
-    for run in record["runs"]:
-        print(run["label"], client.result(run["config_hash"])["act"])
+    with ServiceClient("http://127.0.0.1:8642") as client:
+        record = client.submit({"algorithms": ["dsmf"], "seeds": [1],
+                                "overrides": {"n_nodes": 40}})
+        record = client.wait(record["id"])
+        for run in record["runs"]:
+            print(run["label"], client.result(run["config_hash"])["act"])
+
+Connections persist: a call takes an idle HTTP/1.1 connection from the
+client's pool, or opens one, and hands it back once the response has been
+read to its end, so submit, long-poll and result share one TCP
+connection.  Close the client when done (``client.close()``, or a
+``with`` block as above); a client dropped unclosed closes its idle
+connections when it is garbage-collected.
 
 Every request carries a timeout, so a dead or wedged server surfaces as
 an exception instead of a hang.  Transient failures are retried where
@@ -24,9 +31,10 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Mapping, Optional
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -55,10 +63,16 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Minimal blocking client (urllib; no extra dependencies).
+    """Minimal blocking client over pooled ``http.client`` connections.
+
+    Threads may share one client: a call holds its connection for one
+    request and response, so concurrent calls each use their own.
 
     Parameters
     ----------
+    base_url:
+        ``http://`` or ``https://`` URL of the server; a path prefix is
+        kept in front of every route.
     timeout:
         Per-request socket timeout.
     retries:
@@ -85,11 +99,33 @@ class ServiceClient:
         if backoff < 0 or backoff_cap < 0:
             raise ValueError("backoff delays must be >= 0")
         self.base_url = base_url.rstrip("/")
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme.lower() not in ("http", "https"):
+            raise ValueError(f"base_url must be an http:// or https:// URL: {base_url!r}")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._connection_class = (
+            http.client.HTTPSConnection if scheme.lower() == "https"
+            else http.client.HTTPConnection
+        )
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self._rng = random.Random()
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_idle, self._idle, self._lock)
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        _close_idle(self._idle, self._lock)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------ plumbing
     def _sleep_before_retry(self, attempt: int, retry_after: Optional[float]) -> None:
@@ -103,6 +139,56 @@ class ServiceClient:
         if delay > 0:
             time.sleep(delay)
 
+    def _checkout(self, timeout: float) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, or a new one.
+
+        An idle socket that polls readable has reached EOF (or holds bytes
+        no request asked for), so it is dropped before anything is sent
+        on it: a request written into a closed connection may fail after
+        it reached the server, and a POST must never be sent twice.
+        """
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                return self._connection_class(self._netloc, timeout=timeout)
+            if select.select([conn.sock], [], [], 0)[0]:
+                conn.close()
+                continue
+            conn.sock.settimeout(timeout)
+            return conn
+
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes], headers: dict,
+        timeout: float,
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request and its whole response on a pooled connection.
+
+        The connection returns to the pool only when its response was
+        read to the end and did not ask to close.  Any exception closes
+        it: after a timeout it may still hold an unread response.
+        """
+        conn = self._checkout(timeout)
+        try:
+            try:
+                conn.request(method, self._prefix + path, body=body, headers=headers)
+            except (BrokenPipeError, ConnectionResetError):
+                # The server may have answered before reading the whole
+                # body (a 413) and closed; its response is still readable.
+                if conn.sock is None:
+                    raise
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response, data
+
     def _request(
         self,
         method: str,
@@ -111,39 +197,18 @@ class ServiceClient:
         raw: bool = False,
         timeout: Optional[float] = None,
     ):
-        data = None
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         for attempt in range(self.retries + 1):
-            request = urllib.request.Request(
-                self.base_url + path, data=data, method=method, headers=headers
-            )
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout if timeout is None else timeout
-                ) as response:
-                    body = response.read().decode("utf-8")
-                    return body if raw else json.loads(body)
-            except urllib.error.HTTPError as exc:
-                body = exc.read()
-                try:
-                    error = json.loads(body.decode("utf-8")).get("error", {})
-                except ValueError:
-                    error = {}
-                retry_after = _parse_retry_after(exc.headers.get("Retry-After"))
-                err = ServiceError(
-                    exc.code,
-                    error.get("code", "http-error"),
-                    error.get("message", body.decode("utf-8", errors="replace")[:200]),
-                    retry_after=retry_after,
+                response, data = self._exchange(
+                    method, path, body, headers,
+                    self.timeout if timeout is None else timeout,
                 )
-                if exc.code in _RETRY_STATUSES and attempt < self.retries:
-                    self._sleep_before_retry(attempt, retry_after)
-                    continue
-                raise err from None
-            except (urllib.error.URLError, http.client.HTTPException, OSError):
+            except (http.client.HTTPException, OSError):
                 # Connection-level failure: reset, refused, torn response.
                 # Only GETs are safely repeatable — a torn POST may have
                 # been accepted server-side.
@@ -151,6 +216,24 @@ class ServiceClient:
                     self._sleep_before_retry(attempt, None)
                     continue
                 raise
+            if 200 <= response.status < 300:
+                text = data.decode("utf-8")
+                return text if raw else json.loads(text)
+            try:
+                error = json.loads(data.decode("utf-8")).get("error", {})
+            except ValueError:
+                error = {}
+            retry_after = _parse_retry_after(response.getheader("Retry-After"))
+            err = ServiceError(
+                response.status,
+                error.get("code", "http-error"),
+                error.get("message", data.decode("utf-8", errors="replace")[:200]),
+                retry_after=retry_after,
+            )
+            if response.status in _RETRY_STATUSES and attempt < self.retries:
+                self._sleep_before_retry(attempt, retry_after)
+                continue
+            raise err
 
     # -------------------------------------------------------------- routes
     def health(self) -> dict:
@@ -258,6 +341,14 @@ class ServiceClient:
                         f"service at {self.base_url} not healthy after {timeout:.0f}s"
                     ) from None
                 time.sleep(poll)
+
+
+def _close_idle(idle: list, lock: threading.Lock) -> None:
+    """Close and forget the pooled idle connections."""
+    with lock:
+        conns, idle[:] = idle[:], []
+    for conn in conns:
+        conn.close()
 
 
 def _parse_retry_after(value: Optional[str]) -> Optional[float]:

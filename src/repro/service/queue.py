@@ -19,7 +19,9 @@ replay the overlap from cache.  Parallelism lives inside a campaign
 
 Campaign state transitions: ``queued -> running -> done | failed``; per
 config the run states are ``pending -> running -> done`` (cache hits jump
-straight to ``done``).
+straight to ``done``).  Every queued and running campaign is kept, and of
+the finished ones the most recent :data:`MAX_FINISHED`; an older id reads
+as unknown, as every finished id does after a restart.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import queue as _queuemod
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping, Optional
 
@@ -41,7 +44,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.request import Request
     from repro.service.journal import ServiceJournal
 
-__all__ = ["CampaignQueue", "CampaignState", "QueueFullError", "RunState"]
+__all__ = ["MAX_FINISHED", "CampaignQueue", "CampaignState", "QueueFullError", "RunState"]
+
+#: How many finished campaigns stay pollable; older ones are forgotten,
+#: oldest first.  At about 2 KiB each, this bounds the queue's memory
+#: however many campaigns a server finishes.
+MAX_FINISHED = 1000
 
 
 class QueueFullError(RuntimeError):
@@ -197,6 +205,8 @@ class CampaignQueue:
         self.stats: dict = {}
         self._queue: _queuemod.Queue = _queuemod.Queue()
         self._campaigns: dict[str, CampaignState] = {}
+        #: Finished campaign ids, oldest first (see :meth:`_retire`).
+        self._finished: deque[str] = deque()
         self._lock = threading.RLock()
         #: Long-poll wakeups: every state mutation bumps the campaign's
         #: ``version`` and notifies all waiters (see :meth:`get`).
@@ -229,6 +239,7 @@ class CampaignQueue:
             except Exception as exc:
                 state.status = "failed"
                 state.error = f"resume: manifest no longer valid: {exc}"
+                self._retire(cid)
                 if self.journal is not None:
                     self.journal.finished(cid, "failed")
                 continue
@@ -379,6 +390,16 @@ class CampaignQueue:
         state.version += 1
         self._changed.notify_all()
 
+    def _retire(self, cid: str) -> None:
+        """Record ``cid`` as finished and forget the oldest finished
+        campaigns beyond :data:`MAX_FINISHED`.
+
+        Callers hold ``self._lock`` (or own the queue, as ``_replay``).
+        """
+        self._finished.append(cid)
+        while len(self._finished) > MAX_FINISHED:
+            del self._campaigns[self._finished.popleft()]
+
     def _set_run(self, cid: str, label: str, key: str, **updates) -> None:
         """Update a run state, appending it first if unknown (a sweep's
         probes are not known before they are chosen)."""
@@ -464,6 +485,7 @@ class CampaignQueue:
                 state.finished_at = time.time()
                 final = state.status
                 self._bump(state)
+                self._retire(cid)
             if self.journal is not None:
                 self.journal.finished(cid, final)
 

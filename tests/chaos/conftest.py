@@ -19,7 +19,8 @@ from repro.service.client import ServiceClient
 @pytest.fixture
 def make_service(tmp_path):
     """Factory for live fault-injected servers; yields ``(server, client)``
-    pairs and tears every one of them down afterwards."""
+    pairs and tears every one of them down afterwards, each client before
+    its server."""
     live = []
 
     def make(client_retries: int = 0, **state_kwargs):
@@ -35,13 +36,14 @@ def make_service(tmp_path):
             f"http://{host}:{port}", timeout=15.0,
             retries=client_retries, backoff=0.05,
         )
-        live.append((server, thread))
+        live.append((server, thread, client))
         return server, client
 
     try:
         yield make
     finally:
-        for server, thread in live:
+        for server, thread, client in live:
+            client.close()
             server.shutdown()
             server.server_close()
             server.state.close()

@@ -194,6 +194,30 @@ class TestRestartResume:
         assert record["status"] == status, record
         assert ("diverged" in (record["error"] or "")) is edited
 
+    def test_replayed_failures_count_toward_retention(
+        self, make_service, tmp_path, monkeypatch
+    ):
+        """Campaigns the replay marks failed are finished campaigns too:
+        past ``MAX_FINISHED`` the oldest of them is forgotten."""
+        from repro.service import queue as queue_module
+
+        monkeypatch.setattr(queue_module, "MAX_FINISHED", 2)
+        journal_path = tmp_path / "service.jsonl"
+        journal_path.write_text("".join(
+            json.dumps({
+                "event": "submitted", "id": cid, "kind": "campaign",
+                "manifest": {"algorithms": ["no-such-algorithm"]},
+            }) + "\n"
+            for cid in ("c000001", "c000002", "c000003")
+        ))
+        server, client = make_service(client_retries=0, journal_path=journal_path)
+        with pytest.raises(ServiceError) as err:
+            client.campaign("c000001")
+        assert err.value.status == 404
+        assert [(c["id"], c["status"]) for c in client.campaigns()] == [
+            ("c000002", "failed"), ("c000003", "failed")
+        ]
+
     def test_invalid_journaled_manifest_fails_cleanly(self, make_service, tmp_path):
         journal_path = tmp_path / "service.jsonl"
         journal_path.write_text(

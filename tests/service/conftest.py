@@ -3,7 +3,7 @@
 ``service`` boots the real threaded HTTP server on an ephemeral port with
 an isolated cache/index under ``tmp_path`` — the same stack ``repro
 serve`` runs, minus the process boundary — plus a :class:`ServiceClient`
-against it.  Simulation payloads reuse the suite-wide tiny scale (24
+against it, closed before the server stops.  Simulation payloads reuse the suite-wide tiny scale (24
 nodes, 6 simulated hours) so every end-to-end test stays sub-second.
 """
 
@@ -64,6 +64,7 @@ def service(tmp_path):
     try:
         yield server, client
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         server.state.close()

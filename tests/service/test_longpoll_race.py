@@ -114,6 +114,7 @@ def idle_service(tmp_path):
     try:
         yield state, client
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         state.index.close()

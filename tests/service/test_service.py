@@ -3,10 +3,15 @@ cache replay, result fetch, index persistence across restarts."""
 
 from __future__ import annotations
 
+import threading
 
+import pytest
+
+from repro.api import run_experiment
 from repro.experiments.campaign import result_digest
-from repro.service.app import ServiceState
-from repro.service.client import ServiceClient
+from repro.service import queue as queue_module
+from repro.service.app import ServiceState, build_server
+from repro.service.client import ServiceClient, ServiceError
 
 
 
@@ -119,11 +124,60 @@ def test_served_result_digest_matches_local_pickle(service, tiny_manifest):
 def test_client_wait_times_out_cleanly(service, tiny_manifest):
     _, client = service
     record = client.submit(tiny_manifest)
-    probe = ServiceClient(client.base_url, timeout=5.0)
-    try:
-        probe.wait(record["id"], timeout=0.0, poll=0.01)
-    except TimeoutError as exc:
-        assert record["id"] in str(exc)
-    else:  # pragma: no cover - only on an implausibly instant run
-        pass
+    with ServiceClient(client.base_url, timeout=5.0) as probe:
+        try:
+            probe.wait(record["id"], timeout=0.0, poll=0.01)
+        except TimeoutError as exc:
+            assert record["id"] in str(exc)
+        else:  # pragma: no cover - only on an implausibly instant run
+            pass
     client.wait(record["id"], timeout=60)  # leave the queue drained
+
+
+def test_only_the_newest_finished_campaigns_are_kept(tmp_path, tiny_manifest, monkeypatch):
+    """Past ``MAX_FINISHED`` finished campaigns the oldest is forgotten and
+    reads 404; queued and running campaigns are always kept."""
+    monkeypatch.setattr(queue_module, "MAX_FINISHED", 3)
+    gate = threading.Event()
+    gate.set()
+
+    def gated_runner(config):
+        gate.wait(60)
+        return run_experiment(config)
+
+    server = build_server(
+        port=0, cache_dir=tmp_path / "cache", jobs=1, runner=gated_runner
+    )
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        with ServiceClient(f"http://{host}:{port}", timeout=15.0) as client:
+            # One simulation, then four replays from the cache.
+            finished = [
+                client.wait(client.submit(tiny_manifest)["id"], timeout=60)["id"]
+                for _ in range(5)
+            ]
+            gate.clear()  # the next cache miss holds the worker
+            running = client.submit({**tiny_manifest, "seeds": [6]})["id"]
+            queued = client.submit({**tiny_manifest, "seeds": [7]})["id"]
+            for cid in finished[:2]:
+                with pytest.raises(ServiceError) as err:
+                    client.campaign(cid)
+                assert (err.value.status, err.value.code) == (404, "not-found")
+            assert client.campaign(finished[-1])["status"] == "done"
+            assert client.campaign(queued)["status"] == "queued"
+            assert [c["id"] for c in client.campaigns()] == [
+                *finished[2:], running, queued
+            ]
+            gate.set()
+            assert client.wait(queued, timeout=60)["status"] == "done"
+            assert [c["id"] for c in client.campaigns()] == [finished[-1], running, queued]
+    finally:
+        gate.set()
+        server.shutdown()
+        server.server_close()
+        server.state.close()
+        thread.join(5)

@@ -50,7 +50,8 @@ def counting_service(tmp_path):
     thread.start()
     host, port = server.server_address[:2]
     try:
-        yield ServiceClient(f"http://{host}:{port}", timeout=15.0), calls
+        with ServiceClient(f"http://{host}:{port}", timeout=15.0) as client:
+            yield client, calls
     finally:
         server.shutdown()
         server.server_close()

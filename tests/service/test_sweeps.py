@@ -60,6 +60,7 @@ def sweep_service(tmp_path):
     try:
         yield server, client
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         server.state.close()
