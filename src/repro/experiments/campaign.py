@@ -68,6 +68,16 @@ __all__ = [
 #: 5: capacity sweeps (``workload_scale`` config field enters every hash).
 CACHE_SCHEMA = 5
 
+#: A canary cell (the service benchmark's: the Fig. 4 setting on 20 nodes
+#: for 2 simulated hours) and its pinned ``result_digest``.  A test replays
+#: it, so a change to the simulation's output fails until ``CACHE_SCHEMA``
+#: is bumped and this digest re-pinned together; without the bump a
+#: persistent cache serves stale results under unchanged keys.
+CANARY_CELL = {"scenario": "paper-fig4", "algorithm": "dsmf", "seed": 1,
+               "n_nodes": 20, "load_factor": 1, "total_time": 2 * 3600.0}
+CANARY_DIGEST = "fc6e15923d1297603f2dae3ef0517199126c62b127395b4c6de7e6de278f70c4"
+
+
 def default_cache_dir() -> Path:
     """Default on-disk cache location (read per call, so tests/notebooks
     can set ``REPRO_CAMPAIGN_CACHE`` after import)."""
@@ -591,8 +601,14 @@ class CampaignRunner:
             return False
 
     # ------------------------------------------------------------------- run
-    def run(self, specs: Sequence[RunSpec]) -> CampaignResult:
+    def run(
+        self, specs: Sequence[RunSpec], keys: Optional[Sequence[str]] = None
+    ) -> CampaignResult:
         """Execute every spec; returns runs in spec order.
+
+        ``keys`` are the specs' config hashes when the caller has them
+        already (:func:`repro.experiments.request.execute` does); they are
+        used as given, and computed here when omitted.
 
         Raises :class:`CampaignError` after the sweep drains if any run
         failed permanently.  Worker-*process* deaths (a broken pool) are
@@ -601,7 +617,10 @@ class CampaignRunner:
         """
         t0 = perf_counter()
         stats_before = dict(self.stats)
-        keys = [config_hash(s.config) for s in specs]
+        if keys is None:
+            keys = [config_hash(s.config) for s in specs]
+        elif len(keys) != len(specs):
+            raise ValueError(f"{len(keys)} cache keys for {len(specs)} specs")
         runs: list[Optional[CampaignRun]] = [None] * len(specs)
 
         # Resolve cache hits and dedupe identical configs within the sweep.

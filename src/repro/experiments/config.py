@@ -10,11 +10,12 @@ keeping all per-task parameters — which preserves the result *shape*.
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import numbers
 import reprlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 __all__ = ["ExperimentConfig", "ScaleProfile"]
@@ -359,8 +360,17 @@ class ExperimentConfig:
         return self.dynamic_factor > 0.0 or self.churn_model != "paper-interval"
 
     def describe(self) -> dict:
-        """Plain-dict dump (config hashing, ``RunResult.config``)."""
-        return asdict(self)
+        """Plain-dict dump in field order (config hashing, ``RunResult.config``).
+
+        Shallow: the values are immutable, except what a JSON manifest
+        passed as a list (a tuple field spelled as JSON) or as an object;
+        those are copied, so the dump never aliases the config.
+        """
+        dump = {name: getattr(self, name) for name in _NAMES}
+        for name, value in dump.items():
+            if isinstance(value, (list, dict)):
+                dump[name] = copy.deepcopy(value)
+        return dump
 
     def expected_ccr(self) -> float:
         """Rough communication-to-computation ratio of the workload.
@@ -376,6 +386,8 @@ class ExperimentConfig:
         return (mean_data / mean_bw) / (mean_load / mean_cap)
 
 
+#: Every field name, in declaration order (:meth:`ExperimentConfig.describe`).
+_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 #: The bool and int fields by annotation, whose types ``__post_init__`` checks.
 _TYPED = {f.name: f.type for f in fields(ExperimentConfig)
           if f.type in ("bool", "int", "Optional[int]")}

@@ -30,6 +30,7 @@ Each door only translates its input into these two calls:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Mapping, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -142,9 +143,7 @@ def resolve(
             field=unknown[0],
         )
     if base is None:
-        from repro.experiments.config import ExperimentConfig
-
-        base = ExperimentConfig()
+        base = _default_base()
     limits = limits or {}
     if kind == "campaign":
         return _campaign(manifest, base, limits)
@@ -230,12 +229,11 @@ def _scenario_config(
     (``invalid-overrides``), chained to the config's own error.
     """
     try:
-        config = base
-        if scenario is not None:
-            from repro.workload.scenarios import apply_scenario
+        if scenario is None:
+            return base.with_(**overrides) if overrides else base
+        from repro.workload.scenarios import apply_scenario
 
-            config = apply_scenario(config, scenario)
-        return config.with_(**overrides) if overrides else config
+        return apply_scenario(base, scenario, **overrides)
     except (TypeError, ValueError) as exc:
         # Unknown field names and type-incompatible values both surface as
         # TypeError from the frozen dataclass or its validation comparisons.
@@ -252,9 +250,7 @@ def sweep_base(
     from repro.experiments.sweep import SweepError
 
     if base is None:
-        from repro.experiments.config import ExperimentConfig
-
-        base = ExperimentConfig()
+        base = _default_base()
     config = _scenario_config(base, scenario, overrides)
     if config.workload_source == "trace":
         raise SweepError(
@@ -265,6 +261,15 @@ def sweep_base(
             field="scenarios",
         )
     return config
+
+
+@cache
+def _default_base() -> "ExperimentConfig":
+    """The paper-scale ``ExperimentConfig()``: built once per process and
+    shared, since a config is frozen."""
+    from repro.experiments.config import ExperimentConfig
+
+    return ExperimentConfig()
 
 
 def _hashed(kind: str, specs: "Sequence[RunSpec]", sweep: Optional[dict] = None) -> Request:
@@ -420,7 +425,7 @@ def execute(
         )
     else:
         runner = CampaignRunner(progress=on_done, on_start=on_start, **options)
-        outcome = runner.run(request.specs)
+        outcome = runner.run(request.specs, keys=request.keys)
     if mismatched:
         raise CampaignError(mismatched)
     if journal is not None:

@@ -45,6 +45,7 @@ import json
 import re
 import signal
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -68,6 +69,7 @@ from repro.service.schemas import (
 
 __all__ = [
     "MAX_WAIT_SECONDS",
+    "SOCKET_TIMEOUT_SECONDS",
     "ServiceMetrics",
     "ServiceServer",
     "ServiceState",
@@ -83,6 +85,12 @@ _RESULT_RE = re.compile(r"^/results/([0-9a-zA-Z]+)$")
 #: handler thread can be parked, so a slow client can't pin threads for
 #: arbitrary durations.  Clients re-issue the request to keep waiting.
 MAX_WAIT_SECONDS = 30.0
+
+#: Seconds one socket read or write of a connection may take: a request
+#: body that stalls, or a kept-alive connection left idle, is closed after
+#: it.  A long-poll parks in the queue, not in a socket read, so it is not
+#: bound by this.
+SOCKET_TIMEOUT_SECONDS = 60.0
 
 
 class ServiceMetrics:
@@ -220,6 +228,12 @@ class _Handler(BaseHTTPRequestHandler):
     server: "ServiceServer"
 
     # ------------------------------------------------------------- plumbing
+    def setup(self) -> None:
+        # socketserver applies ``timeout`` to the connection; a read that
+        # times out closes it (``handle_one_request``).
+        self.timeout = SOCKET_TIMEOUT_SECONDS
+        super().setup()
+
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
             super().log_message(format, *args)
@@ -277,6 +291,8 @@ class _Handler(BaseHTTPRequestHandler):
         injected ``http.slow`` stalls the response, an injected
         ``http.reset`` drops the connection without one (recorded with
         status 0) — what a client sees from a server dying mid-request.
+        A request body that stalls past the socket timeout is recorded
+        with status 0 too, and its connection is closed.
         """
         parts = urlsplit(self.path)
         path = parts.path.rstrip("/") or "/"
@@ -304,6 +320,9 @@ class _Handler(BaseHTTPRequestHandler):
                         pass
                     return
             route_fn(path, query)
+        except TimeoutError:
+            self._count(0)
+            raise  # handle_one_request closes the connection
         finally:
             self._count(500)  # no response was sent: an unhandled error
 
@@ -571,6 +590,16 @@ class ServiceServer(ThreadingHTTPServer):
         with self._open_lock:
             self._open.discard(request)
         super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        """Print a handler's traceback, unless its client went away before
+        the response was written (a broken pipe or a reset): that is no
+        server fault, and gets one line, under ``--verbose`` only."""
+        exc = sys.exc_info()[1]
+        if not isinstance(exc, ConnectionError):
+            super().handle_error(request, client_address)
+        elif self.verbose:
+            print(f"{client_address[0]} - - client went away: {exc!r}", file=sys.stderr)
 
     def server_close(self) -> None:
         super().server_close()

@@ -102,10 +102,16 @@ def get_scenario(name: str) -> Scenario:
         ) from None
 
 
-def apply_scenario(config: "ExperimentConfig", name: str) -> "ExperimentConfig":
-    """Apply a scenario's overrides (and stamp its name) onto a config."""
+def apply_scenario(
+    config: "ExperimentConfig", name: str, **overrides
+) -> "ExperimentConfig":
+    """Apply a scenario's overrides (and stamp its name) onto a config.
+
+    ``overrides`` go on top of the preset's, in the same construction, so
+    the result is validated once.
+    """
     sc = get_scenario(name)
-    return config.with_(scenario=name, **dict(sc.overrides))
+    return config.with_(**{"scenario": name, **sc.overrides, **overrides})
 
 
 # --------------------------------------------------------------------------

@@ -160,6 +160,16 @@ class TestCache:
         assert isinstance(pickle.loads(path.read_bytes()), object)
         assert runner.run(specs).n_cached == 1
 
+    def test_given_keys_are_used_as_given(self, tmp_path):
+        (spec,) = tiny_specs(["dsmf"], [1])
+        runner = CampaignRunner(jobs=1, cache_dir=tmp_path)
+        (run,) = runner.run([spec], keys=["k" * 64])
+        assert run.cache_key == "k" * 64 and (tmp_path / f"{'k' * 64}.pkl").is_file()
+        (again,) = runner.run([spec], keys=["k" * 64])
+        assert again.from_cache
+        with pytest.raises(ValueError, match="1 cache keys for 2 specs"):
+            runner.run(tiny_specs(["dsmf"], [1, 2]), keys=["k" * 64])
+
     def test_duplicate_specs_run_once(self, tmp_path):
         spec = tiny_specs(algorithms=("dsmf",), seeds=(1,))[0]
         twice = [spec, RunSpec("again", spec.config)]

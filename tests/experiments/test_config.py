@@ -122,6 +122,18 @@ def test_describe_roundtrip():
     assert d["n_nodes"] == 1000
 
 
+def test_describe_is_every_field_in_order_without_aliasing():
+    # A JSON manifest spells a tuple field as a list.
+    config = ExperimentConfig(task_range=[2, 6], capacities=[1.0, 4.0])
+    d = config.describe()
+    assert list(d) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert d == dataclasses.asdict(config)
+    assert d["task_range"] == [2, 6] and type(d["task_range"]) is list
+    d["task_range"].append(9)
+    d["capacities"][0] = 99.0
+    assert config.task_range == [2, 6] and config.capacities == [1.0, 4.0]
+
+
 def test_expected_ccr_base_setting():
     """Fig. 4-6 setting lands near the paper's quoted CCR of 0.16."""
     ccr = ExperimentConfig().expected_ccr()

@@ -23,6 +23,7 @@ from repro.experiments.campaign import (
     config_hash,
 )
 from repro.experiments.cli import main
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import base_config
 from repro.experiments.journal import RunJournal, request_identity
 from repro.experiments.request import ManifestError, execute, resolve
@@ -48,10 +49,12 @@ def _result(config) -> RunResult:
 @pytest.fixture
 def cells(monkeypatch) -> list:
     """Intercept every runner: record each cell it is handed as
-    ``(label, config hash)`` and answer it with :func:`_result`."""
+    ``(label, config hash)`` and answer it with :func:`_result`.  Keys a
+    caller passes must be the cells' hashes."""
     seen: list = []
 
-    def run(self, specs):
+    def run(self, specs, keys=None):
+        assert keys is None or list(keys) == [config_hash(s.config) for s in specs]
         runs = []
         for spec in specs:
             key = config_hash(spec.config)
@@ -167,6 +170,42 @@ def test_a_config_that_cannot_be_hashed_is_refused():
     with pytest.raises(ManifestError) as excinfo:
         resolve("campaign", {"overrides": {"telemetry": deep}})
     assert excinfo.value.code == "invalid-overrides"
+
+
+def test_execute_hashes_each_cell_once(tmp_path, monkeypatch):
+    import repro.experiments.campaign as campaign
+
+    hashed = []
+    original = campaign.config_hash
+
+    def counted(config):
+        hashed.append(1)
+        return original(config)
+
+    monkeypatch.setattr(campaign, "config_hash", counted)
+    manifest = {"algorithms": ["dsmf", "heft"], "overrides": {"n_nodes": 20}}
+    for from_cache in (False, True):  # cache misses, then hits
+        hashed.clear()
+        outcome = execute(resolve("campaign", manifest), runner=_result, cache_dir=tmp_path)
+        assert [run.from_cache for run in outcome] == [from_cache] * 2
+        assert len(hashed) == 2
+
+
+def test_resolve_validates_a_scenario_cell_twice(monkeypatch):
+    manifest = {"scenario": "poisson-steady", "overrides": {"n_nodes": 20}}
+    resolve("campaign", manifest)  # builds the shared default base
+    validated = []
+    original = ExperimentConfig.__post_init__
+
+    def counted(self):
+        validated.append(1)
+        original(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    (spec,) = resolve("campaign", manifest).specs
+    # Once for the scenario and overrides, once for the algorithm and seed.
+    assert len(validated) == 2
+    assert (spec.config.scenario, spec.config.n_nodes) == ("poisson-steady", 20)
 
 
 def test_execute_journals_every_digest_and_the_fingerprint(cells, tmp_path):

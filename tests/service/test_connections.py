@@ -3,6 +3,8 @@
 One TCP connection carries a client's calls; a kept-alive response never
 waits for the client's delayed ACK; a response sent before the request
 body was read closes the connection, and a body cut short is refused; a
+body that stalls, or a connection left idle, is closed after the socket
+timeout; a client that leaves early is not logged as a server error; a
 closed server shuts its open connections; and a pooled connection the
 server has closed is dropped before a request is written into it.
 """
@@ -21,6 +23,7 @@ import time
 import pytest
 
 from repro.obs.telemetry import parse_prometheus
+from repro.service import app
 from repro.service.app import build_server
 from repro.service.client import ServiceClient, ServiceError
 
@@ -131,6 +134,65 @@ def test_body_cut_short_is_refused(service):
     assert b'"incomplete-body"' in data
     assert closed
     assert client.campaigns() == []
+
+
+@pytest.fixture
+def short_timeout(monkeypatch) -> float:
+    """The handler's socket timeout, lowered so that a test outwaits it."""
+    monkeypatch.setattr(app, "SOCKET_TIMEOUT_SECONDS", 0.3)
+    return 0.3
+
+
+def test_a_stalled_body_is_cut_off_after_the_socket_timeout(service, short_timeout):
+    """A POST that declares 100 bytes, sends 2 and idles with its
+    connection open: the handler's read is bounded, so the server closes
+    the connection and counts the request with status 0."""
+    server, client = service
+    data, closed = _raw_exchange(
+        server,
+        b"POST /campaigns HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+        b"Content-Length: 100\r\n\r\n{}",
+        timeout=5.0,
+    )
+    assert (data, closed) == (b"", True)
+    metrics = parse_prometheus(client.metrics())
+    assert metrics['repro_http_requests_total{method="POST",route="/campaigns",status="0"}'] == 1
+    assert not any('status="500"' in name for name in metrics)
+    assert client.campaigns() == []
+
+
+def test_a_client_outlives_the_idle_timeout(service, short_timeout):
+    """The server closes a kept-alive connection left idle past the socket
+    timeout; the client's pool drops it, and the next call opens another."""
+    server, client = service
+    assert client.health()["status"] == "ok"
+    time.sleep(short_timeout + 0.7)
+    assert client.health()["status"] == "ok"
+    assert server.connections == 2
+
+
+def test_an_early_disconnect_is_not_logged_as_an_error(service, capsys):
+    """A client that left before its response was written is no server
+    fault: no traceback.  Any other handler error keeps its traceback."""
+    server, _ = service
+    try:
+        raise BrokenPipeError(32, "Broken pipe")
+    except BrokenPipeError:
+        server.handle_error(None, ("127.0.0.1", 4242))
+    assert capsys.readouterr().err == ""
+    server.verbose = True
+    try:
+        raise ConnectionResetError(104, "Connection reset by peer")
+    except ConnectionResetError:
+        server.handle_error(None, ("127.0.0.1", 4242))
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "client went away" in err and "Traceback" not in err
+    try:
+        raise ValueError("boom")
+    except ValueError:
+        server.handle_error(None, ("127.0.0.1", 4242))
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: boom" in err
 
 
 def test_closed_server_serves_nothing_on_a_kept_alive_connection(tmp_path):

@@ -39,6 +39,13 @@ def test_apply_scenario_stamps_name_and_overrides():
     assert cfg.n_nodes == ExperimentConfig().n_nodes
 
 
+def test_apply_scenario_overrides_win_over_the_preset():
+    base = ExperimentConfig(n_nodes=20)
+    cfg = apply_scenario(base, "burst-storm", burst_on=60.0, load_factor=2)
+    assert cfg == apply_scenario(base, "burst-storm").with_(burst_on=60.0, load_factor=2)
+    assert (cfg.scenario, cfg.burst_on, cfg.burst_off) == ("burst-storm", 60.0, 5400.0)
+
+
 def test_every_preset_produces_a_valid_config():
     base = ExperimentConfig(n_nodes=20, load_factor=1)
     for name in scenario_names():
