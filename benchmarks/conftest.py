@@ -2,11 +2,12 @@
 
 Every paper table/figure has one ``test_bench_*`` module.  Simulations are
 deterministic (fixed seeds), so each bench runs its simulation exactly once
-(``benchmark.pedantic(..., rounds=1)``) and then asserts the paper's
-qualitative *shape* claims on the result — who wins, by roughly what
-factor, how trends move.  Absolute numbers differ from the paper (different
-testbed), which is expected; ``scripts/render_experiments.py`` prints the
-comparison from a ``scripts/collect_experiments.py`` collection.
+and then asserts the paper's qualitative *shape* claims on the result — who
+wins, by roughly what factor, how trends move.  These modules time nothing;
+the repository's one timing benchmark is ``perfbench/``.  Absolute numbers
+differ from the paper (different testbed), which is expected;
+``scripts/render_experiments.py`` prints the comparison from a
+``scripts/collect_experiments.py`` collection.
 
 The figure benches run their ``FIGURES`` entry's grid
 (:mod:`repro.experiments.figures`) over a reduced scale (``BENCH`` below)
@@ -21,18 +22,20 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from repro.experiments.campaign import CampaignRunner, RunSpec
+from repro.experiments.campaign import RunSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import FIGURES, figure_cells
+from repro.experiments.request import campaign_of, execute
 from repro.grid.system import P2PGridSystem
+from repro.workload.scenarios import apply_scenario
 
-#: Fan-out for the sweep fixtures (the timed benches themselves always run
+#: Fan-out for the sweep fixtures (the single-run benches always run
 #: inline).  Results are deterministic per config, so the worker count only
 #: affects wall time, never the asserted numbers.
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or (os.cpu_count() or 1)
 
-#: Opt-in result cache for the sweep fixtures.  Off by default so bench
-#: timings stay honest; set REPRO_BENCH_CACHE_DIR to iterate on assertion
+#: Opt-in result cache for the sweep fixtures.  Off by default so every
+#: bench simulates; set REPRO_BENCH_CACHE_DIR to iterate on assertion
 #: thresholds without re-simulating.
 BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE_DIR")
 
@@ -55,14 +58,9 @@ def bench_config(scenario: str | None = None, **overrides) -> ExperimentConfig:
     ``scenario`` applies a named workload preset from
     :mod:`repro.workload.scenarios`; explicit ``overrides`` win over it.
     """
-    params = dict(BENCH)
     if scenario is not None:
-        from repro.workload.scenarios import get_scenario
-
-        params.update(get_scenario(scenario).overrides)
-        params["scenario"] = scenario
-    params.update(overrides)
-    return ExperimentConfig(**params)
+        return apply_scenario(ExperimentConfig(**BENCH), scenario, **overrides)
+    return ExperimentConfig(**{**BENCH, **overrides})
 
 
 def run_one(**overrides):
@@ -71,7 +69,8 @@ def run_one(**overrides):
 
 
 def run_sweep(variants: Mapping[str, dict] | Sequence[RunSpec], **common) -> dict:
-    """Run bench cells through the campaign runner.
+    """Run bench cells as one campaign request
+    (:func:`repro.experiments.request.execute`).
 
     ``variants`` is either a list of :class:`RunSpec` (e.g. a ``FIGURES``
     entry's :func:`figure_cells`) or a mapping of label to
@@ -86,12 +85,12 @@ def run_sweep(variants: Mapping[str, dict] | Sequence[RunSpec], **common) -> dic
             RunSpec(label, bench_config(**{**common, **overrides}))
             for label, overrides in variants.items()
         ]
-    runner = CampaignRunner(
+    return execute(
+        campaign_of(specs),
         jobs=min(BENCH_JOBS, len(specs)),
         cache_dir=BENCH_CACHE_DIR,
         use_cache=BENCH_CACHE_DIR is not None,
-    )
-    return runner.run(specs).results()
+    ).results()
 
 
 @pytest.fixture(scope="session")
@@ -99,8 +98,3 @@ def static_suite():
     """Fig. 4/5/6's grid (one static run per paper algorithm), shared by
     their benches."""
     return run_sweep(figure_cells(FIGURES["4"], bench_config()))
-
-
-def once(benchmark, fn):
-    """Run ``fn`` exactly once under the benchmark timer."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)

@@ -8,7 +8,7 @@ interval, transfer contention, rescheduling) and quantifies its effect.
 from __future__ import annotations
 
 import pytest
-from conftest import once, run_one, run_sweep
+from conftest import run_one, run_sweep
 
 pytestmark = pytest.mark.slow
 
@@ -39,8 +39,8 @@ class TestRssSizeAblation:
             total_time=36 * 3600.0,
         )
 
-    def test_bench_ablation_rss_size(self, benchmark, sweep):
-        once(benchmark, lambda: run_one(rss_mode="oracle"))
+    def test_bench_ablation_rss_size(self, sweep):
+        run_one(rss_mode="oracle")
         # Bigger views help (or at least never hurt much) ...
         assert sweep["quad"].act <= sweep["half"].act * 1.15
         # ... and the paper's 2*log2(n) sits within 30% of full oracle
@@ -65,8 +65,8 @@ class TestGossipStalenessAblation:
             }
         )
 
-    def test_bench_ablation_gossip_staleness(self, benchmark, sweep):
-        once(benchmark, lambda: run_one(gossip_interval=1800.0))
+    def test_bench_ablation_gossip_staleness(self, sweep):
+        run_one(gossip_interval=1800.0)
         # Fresh info should not be worse than very stale info.
         assert sweep["fresh"].act <= sweep["stale"].act * 1.10
 
@@ -78,8 +78,8 @@ class TestGossipStalenessAblation:
 class TestLandmarkAblation:
     """Bandwidth estimation error vs an oracle bandwidth matrix."""
 
-    def test_bench_ablation_landmarks(self, benchmark):
-        landmark = once(benchmark, lambda: run_one(use_landmark_bandwidth=True))
+    def test_bench_ablation_landmarks(self):
+        landmark = run_one(use_landmark_bandwidth=True)
         oracle = run_one(use_landmark_bandwidth=False)
         # Estimation error costs a bounded amount (same order of magnitude).
         assert landmark.act <= oracle.act * 1.35
@@ -89,8 +89,8 @@ class TestLandmarkAblation:
 class TestIntervalAblation:
     """Periodic (paper) vs immediate (event-driven) phase-1 dispatch."""
 
-    def test_bench_ablation_interval(self, benchmark):
-        periodic = once(benchmark, lambda: run_one(load_factor=1))
+    def test_bench_ablation_interval(self):
+        periodic = run_one(load_factor=1)
         immediate = run_one(load_factor=1, immediate_dispatch=True)
         # Removing the cycle wait can only speed workflows up at light load.
         assert immediate.act <= periodic.act
@@ -99,8 +99,8 @@ class TestIntervalAblation:
 class TestContentionAblation:
     """The paper's contention-free transfer assumption, quantified."""
 
-    def test_bench_ablation_contention(self, benchmark):
-        free = once(benchmark, lambda: run_one(data_range=(100.0, 10_000.0)))
+    def test_bench_ablation_contention(self):
+        free = run_one(data_range=(100.0, 10_000.0))
         shared = run_one(data_range=(100.0, 10_000.0), transfer_contention=True)
         # Sharing inbound links can only slow things down.
         assert shared.act >= free.act * 0.99
@@ -109,11 +109,8 @@ class TestContentionAblation:
 class TestRescheduleAblation:
     """The paper's future-work fix under harsh fail-churn semantics."""
 
-    def test_bench_ablation_reschedule(self, benchmark):
-        plain = once(
-            benchmark,
-            lambda: run_one(dynamic_factor=0.2, churn_mode="fail", load_factor=2),
-        )
+    def test_bench_ablation_reschedule(self):
+        plain = run_one(dynamic_factor=0.2, churn_mode="fail", load_factor=2)
         fixed = run_one(
             dynamic_factor=0.2,
             churn_mode="fail",

@@ -4,16 +4,16 @@ A 2-algorithm × 4-seed sweep (the shape of one paper-figure cell) run
 three ways: serial, fanned out across worker processes, and replayed from
 the result cache.  The parallel path must be bit-identical to the serial
 one; the speedup assertion is gated on the host actually having more than
-one core (CI runners vary).
+one core (CI runners vary).  This module measures the campaign runner
+itself, so it builds its runners directly.
 """
 
 from __future__ import annotations
 
 import os
-from time import perf_counter
+import statistics
 
 import pytest
-from conftest import once
 
 from repro.experiments.campaign import CampaignRunner, sweep_specs
 from repro.experiments.config import ExperimentConfig
@@ -29,31 +29,34 @@ SWEEP_BASE = ExperimentConfig(
 
 JOBS = 4
 
+#: Alternating serial/parallel pairs behind the speedup check: its floor
+#: applies to their median ratio, so one round slowed by a neighbour on a
+#: shared host does not decide it.
+PAIRS = 5
+
 
 def _specs():
     return sweep_specs(["dsmf", "dheft"], [1, 2, 3, 4], base=SWEEP_BASE)
 
 
 @pytest.mark.slow  # wall-time ratio gate: keep off shared CI runners
-def test_bench_campaign_parallel_speedup(benchmark):
-    """Times the parallel sweep; asserts identity with (and, given cores,
-    speedup over) the serial path."""
-    t0 = perf_counter()
-    serial = CampaignRunner(jobs=1, use_cache=False).run(_specs())
-    serial_wall = perf_counter() - t0
+def test_bench_campaign_parallel_speedup():
+    """Every parallel sweep is identical to the serial one and, given
+    cores, faster over the median of alternating pairs."""
+    ratios = []
+    for _ in range(PAIRS):
+        serial = CampaignRunner(jobs=1, use_cache=False).run(_specs())
+        parallel = CampaignRunner(jobs=JOBS, use_cache=False).run(_specs())
 
-    parallel = once(
-        benchmark, lambda: CampaignRunner(jobs=JOBS, use_cache=False).run(_specs())
-    )
-
-    # Fan-out must never change the science: bit-identical outcomes.
-    assert parallel.fingerprint() == serial.fingerprint()
-    assert [r.label for r in parallel] == [r.label for r in serial]
+        # Fan-out must never change the science: bit-identical outcomes.
+        assert parallel.fingerprint() == serial.fingerprint()
+        assert [r.label for r in parallel] == [r.label for r in serial]
+        ratios.append(serial.wall_seconds / parallel.wall_seconds)
 
     if (os.cpu_count() or 1) >= 2:
         # With real cores the 8-run sweep should overlap meaningfully;
         # 1.3x is a deliberately loose floor for noisy shared CI runners.
-        assert parallel.wall_seconds < serial_wall / 1.3
+        assert statistics.median(ratios) > 1.3, ratios
 
 
 def test_bench_campaign_cache_replay(tmp_path):

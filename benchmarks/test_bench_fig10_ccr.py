@@ -8,7 +8,7 @@ paper's plotted 0–0.4 band under the heavier combinations.
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, once, run_one, run_sweep
+from conftest import bench_config, run_one, run_sweep
 
 from repro.experiments.figures import CCR_CASES, FIGURES, figure_cells
 
@@ -23,12 +23,9 @@ def sweep():
     return dict(zip(((alg, c[0]) for c in CCR_CASES for alg in ALGS), results))
 
 
-def test_bench_fig10_ccr(benchmark, sweep):
+def test_bench_fig10_ccr(sweep):
     case = CCR_CASES[3]
-    once(
-        benchmark,
-        lambda: run_one(algorithm="dheft", load_range=case[1], data_range=case[2]),
-    )
+    run_one(algorithm="dheft", load_range=case[1], data_range=case[2])
 
     for name, _, _ in CCR_CASES:
         for rival in ("sufferage", "dheft"):

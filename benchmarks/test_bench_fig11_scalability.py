@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import bench_config, once, run_one, run_sweep
+from conftest import bench_config, run_one, run_sweep
 
 from repro.experiments.figures import FIGURES, figure_cells
 
@@ -26,8 +26,8 @@ def sweep():
     return dict(zip(SCALES, results))
 
 
-def test_bench_fig11_scalability(benchmark, sweep):
-    once(benchmark, lambda: run_one(algorithm="dsmf", n_nodes=SCALES[-1]))
+def test_bench_fig11_scalability(sweep):
+    run_one(algorithm="dsmf", n_nodes=SCALES[-1])
 
     # (a) RSS stays small and sub-linear: growing the system 4x grows the
     # per-node view by at most ~2 entries (log2 growth), never beyond 30.

@@ -8,7 +8,7 @@ by a double-digit percentage on converged ACT; SMF/DSMF are the two best.
 from __future__ import annotations
 
 import pytest
-from conftest import once, run_one
+from conftest import run_one
 
 from repro.experiments.figures import FIGURES, fold_figure
 
@@ -17,8 +17,8 @@ pytestmark = pytest.mark.slow
 DECENTRALIZED_RIVALS = ("min-min", "max-min", "sufferage", "dheft", "dsdf")
 
 
-def test_bench_fig5_finish_time(benchmark, static_suite):
-    once(benchmark, lambda: run_one(algorithm="min-min"))
+def test_bench_fig5_finish_time(static_suite):
+    run_one(algorithm="min-min")
 
     act = {alg: r.act for alg, r in static_suite.items()}
 

@@ -8,7 +8,7 @@ the best decentralized algorithm, improving markedly over the rivals
 from __future__ import annotations
 
 import pytest
-from conftest import once, run_one
+from conftest import run_one
 
 from repro.experiments.figures import FIGURES, fold_figure
 
@@ -17,8 +17,8 @@ pytestmark = pytest.mark.slow
 DECENTRALIZED_RIVALS = ("min-min", "max-min", "sufferage", "dheft", "dsdf")
 
 
-def test_bench_fig6_efficiency(benchmark, static_suite):
-    once(benchmark, lambda: run_one(algorithm="sufferage"))
+def test_bench_fig6_efficiency(static_suite):
+    run_one(algorithm="sufferage")
 
     ae = {alg: r.ae for alg, r in static_suite.items()}
 

@@ -8,7 +8,7 @@ algorithms as competition intensifies (the paper highlights lf = 6..8).
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, once, run_one, run_sweep
+from conftest import bench_config, run_one, run_sweep
 
 from repro.experiments.figures import FIGURES, figure_cells
 
@@ -25,8 +25,8 @@ def sweep():
     return dict(zip(((alg, lf) for lf in LOAD_FACTORS for alg in ALGS), results))
 
 
-def test_bench_fig7_load_factor(benchmark, sweep):
-    once(benchmark, lambda: run_one(algorithm="dsmf", load_factor=4))
+def test_bench_fig7_load_factor(sweep):
+    run_one(algorithm="dsmf", load_factor=4)
 
     # ACT increases with resource competition for every algorithm.
     for alg in ALGS:

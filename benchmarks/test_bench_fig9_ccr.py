@@ -8,7 +8,7 @@ algorithms across all four combinations.
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, once, run_one, run_sweep
+from conftest import bench_config, run_one, run_sweep
 
 from repro.experiments.figures import CCR_CASES, FIGURES, figure_cells
 
@@ -23,12 +23,9 @@ def sweep():
     return dict(zip(((alg, c[0]) for c in CCR_CASES for alg in ALGS), results))
 
 
-def test_bench_fig9_ccr(benchmark, sweep):
+def test_bench_fig9_ccr(sweep):
     case = CCR_CASES[0]
-    once(
-        benchmark,
-        lambda: run_one(algorithm="dsmf", load_range=case[1], data_range=case[2]),
-    )
+    run_one(algorithm="dsmf", load_range=case[1], data_range=case[2])
 
     light, heavy_data = CCR_CASES[0][0], CCR_CASES[1][0]
     heavy_load, heavy_both = CCR_CASES[2][0], CCR_CASES[3][0]

@@ -1,23 +1,21 @@
 """Table I — the experimental setting, as implemented.
 
-Verifies that the default configuration *is* Table I, and benchmarks the
-system-construction cost (topology generation + all-pairs matrices +
-gossip bootstrap + workflow generation) at a few hundred nodes, since that
-is the fixed overhead every experiment pays.
+Verifies that the default configuration *is* Table I, and builds the
+system (topology generation + all-pairs matrices + gossip bootstrap +
+workflow generation) at a few hundred nodes, the fixed set-up every
+experiment pays.
 """
 
 from __future__ import annotations
 
-from conftest import bench_config, once
+from conftest import bench_config
 
 from repro.experiments.figures import table1_settings
 from repro.grid.system import P2PGridSystem
 
 
-def test_bench_table1_config(benchmark):
-    system = once(
-        benchmark, lambda: P2PGridSystem(bench_config(n_nodes=200))
-    )
+def test_bench_table1_config():
+    system = P2PGridSystem(bench_config(n_nodes=200))
     # Construction builds the full substrate stack.
     assert system.topology.n == 200
     assert len(system.executions) == 600  # load factor 3

@@ -8,18 +8,16 @@ actually spread submissions over the horizon and still converge.
 
 from __future__ import annotations
 
-from conftest import bench_config, once, run_sweep
+from conftest import bench_config, run_sweep
 
 from repro.experiments.campaign import result_digest
 from repro.grid.system import P2PGridSystem
 
 
-def test_bench_paper_scenario_is_bit_identical(benchmark):
+def test_bench_paper_scenario_is_bit_identical():
     """`paper-fig4` replays the default batch workload exactly."""
     plain = P2PGridSystem(bench_config()).run()
-    scenario = once(
-        benchmark, lambda: P2PGridSystem(bench_config(scenario="paper-fig4")).run()
-    )
+    scenario = P2PGridSystem(bench_config(scenario="paper-fig4")).run()
     assert result_digest(scenario) == result_digest(plain)
 
 

@@ -2,12 +2,13 @@
 """Collect the data behind the paper-vs-measured record.
 
 Runs every figure and table of ``repro.experiments.figures.FIGURES`` (the
-paper's §IV) at the requested profile through the campaign runner —
-fanned out across worker processes, with completed runs cached on disk so
-re-collections (e.g. after fixing one figure's rendering) only pay for
-what actually changed — and dumps one JSON file per figure into
-``results/``.  Figures that share a grid (4–6, 7–8, 9–10, 12–14) share
-their runs.  ``render_experiments.py`` turns those files into the record.
+paper's §IV) at the requested profile as one campaign request
+(``repro.experiments.request.execute``) — fanned out across worker
+processes, with completed runs cached on disk so re-collections (e.g.
+after fixing one figure's rendering) only pay for what actually changed —
+and dumps one JSON file per figure into ``results/``.  Figures that share
+a grid (4–6, 7–8, 9–10, 12–14) share their runs.  ``render_experiments.py``
+turns those files into the record.
 
 Usage::
 
@@ -23,8 +24,9 @@ import os
 import time
 from pathlib import Path
 
-from repro.experiments.campaign import CampaignRun, CampaignRunner
+from repro.experiments.campaign import CampaignRun
 from repro.experiments.figures import FIGURES, base_config, figure_cells
+from repro.experiments.request import campaign_of, execute
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -86,13 +88,13 @@ def main() -> None:
               f"{d.n_workflows} ACT={d.act:.0f} AE={d.ae:.3f} ({src})")
 
     t0 = time.perf_counter()
-    runner = CampaignRunner(
+    campaign = execute(
+        campaign_of(unique),
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=progress,
     )
-    campaign = runner.run(unique)
     by_spec = dict(zip(unique, campaign.runs))
 
     meta = {"profile": args.profile, "seed": args.seed, "jobs": args.jobs,

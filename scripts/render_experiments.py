@@ -194,7 +194,7 @@ def render(profile: str, results_dir: Path = RESULTS) -> str:
     A("efficiency, Eq. (3); throughput = workflows finished; `metric@Xh` = the")
     A("value X simulated hours in (the last column is the converged value).")
     A("")
-    A("**Paper-scale spot check** (`python scripts/run_paper_scale.py`): one "
+    A("**Paper-scale spot check** (`repro campaign --profile paper -a dsmf`): one "
       "full Table-I run — 1000 nodes, 3000 workflows, 36 h — of DSMF "
       "finishes 3000/3000 workflows with **ACT = 29,168 s** and AE = 0.297 "
       "(104 s wall, 188,918 events).  The paper's Fig. 5 shows DSMF "

@@ -91,31 +91,30 @@ def quick_run(
 
     Any :class:`~repro.experiments.config.ExperimentConfig` field can be
     overridden by keyword; ``scenario`` applies a named workload preset
-    (``available_scenarios()``).  Explicitly passed arguments win over the
-    preset's overrides; omitted ones yield to it (so e.g.
-    ``quick_run(scenario="diurnal-week")`` really runs the preset's
-    week-long horizon).
+    (``available_scenarios()``).  The call resolves as a one-cell campaign
+    manifest (:mod:`repro.experiments.request`) over those defaults: the
+    defaults, then the preset, then the passed arguments.  So explicitly
+    passed arguments win over the preset's overrides, and omitted ones
+    yield to it (``quick_run(scenario="diurnal-week")`` really runs the
+    preset's week-long horizon).  An invalid argument raises
+    :class:`~repro.experiments.request.ManifestError`, a ``ValueError``.
     """
     from repro.experiments.config import ExperimentConfig
+    from repro.experiments.request import resolve
 
-    params: dict = dict(algorithm=algorithm, seed=seed, **overrides)
     if n_nodes is not None:
-        params["n_nodes"] = n_nodes
+        overrides["n_nodes"] = n_nodes
     if load_factor is not None:
-        params["load_factor"] = load_factor
+        overrides["load_factor"] = load_factor
     if duration_hours is not None:
-        params["total_time"] = duration_hours * 3600.0
-    if scenario is not None:
-        from repro.workload.scenarios import get_scenario
-
-        preset = dict(get_scenario(scenario).overrides)
-        preset.update(params)
-        params = {"scenario": scenario, **preset}
-    params.setdefault("n_nodes", 60)
-    params.setdefault("load_factor", 2)
-    params.setdefault("total_time", 12 * 3600.0)
-    config = ExperimentConfig(**params)
-    return run_experiment(config, recorder=recorder)
+        overrides["total_time"] = duration_hours * 3600.0
+    manifest = {
+        "scenario": scenario, "algorithms": [algorithm], "seeds": [seed],
+        "overrides": overrides,
+    }
+    base = ExperimentConfig(n_nodes=60, load_factor=2, total_time=12 * 3600.0)
+    (spec,) = resolve("campaign", manifest, base).specs
+    return run_experiment(spec.config, recorder=recorder)
 
 
 def run_campaign(

@@ -48,10 +48,8 @@ from repro.api import (
     available_churn_models,
     available_recovery_policies,
     available_scenarios,
-    quick_run,
 )
-from repro.experiments.campaign import CampaignRunner
-from repro.experiments.config import ScaleProfile
+from repro.experiments.config import ExperimentConfig, ScaleProfile
 from repro.experiments.figures import (
     FIGURES,
     base_config,
@@ -350,48 +348,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    preset: dict = {}
-    if args.scenario:
-        from repro.workload.scenarios import get_scenario
+    from repro.api import run_experiment
+    from repro.experiments.request import ManifestError, resolve
 
-        preset = dict(get_scenario(args.scenario).overrides)
-
-    def pick(value, field, default):
-        """Flag value if given; else the CLI default — unless the scenario
-        preset overrides the field, which an omitted flag yields to."""
-        if value is not None:
-            return value
-        return None if field in preset else default
-
-    kw: dict = {}
-    df = pick(args.dynamic_factor, "dynamic_factor", 0.0)
-    if df is not None:
-        kw["dynamic_factor"] = df
-    if args.workload_path is not None:
-        kw["workload_path"] = args.workload_path
-    if args.churn_model is not None:
-        kw["churn_model"] = args.churn_model
-    if args.recovery is not None:
-        kw["recovery_policy"] = args.recovery
-    if args.telemetry:
-        kw["telemetry"] = True
+    flags = {
+        "n_nodes": args.nodes,
+        "load_factor": args.load_factor,
+        "total_time": None if args.hours is None else args.hours * 3600.0,
+        "dynamic_factor": args.dynamic_factor,
+        "workload_path": args.workload_path,
+        "churn_model": args.churn_model,
+        "recovery_policy": args.recovery,
+        "telemetry": args.telemetry or None,
+    }
+    manifest = {
+        "scenario": args.scenario, "algorithms": [args.algorithm], "seeds": [args.seed],
+        "overrides": {key: value for key, value in flags.items() if value is not None},
+    }
+    base = ExperimentConfig(n_nodes=100, load_factor=3, total_time=24 * 3600.0)
+    try:
+        (spec,) = resolve("campaign", manifest, base).specs
+    except ManifestError as exc:  # e.g. --nodes 1, in the config's own words
+        raise SystemExit(_refusal(exc, prefix=""))
     recorder = None
     if args.trace_out:
         from repro.obs.recorder import TraceRecorder
 
         recorder = TraceRecorder()
     try:
-        result = quick_run(
-            algorithm=args.algorithm,
-            n_nodes=pick(args.nodes, "n_nodes", 100),
-            load_factor=pick(args.load_factor, "load_factor", 3),
-            duration_hours=pick(args.hours, "total_time", 24.0),
-            seed=args.seed,
-            scenario=args.scenario,
-            recorder=recorder,
-            **kw,
-        )
-    except ValueError as exc:  # e.g. a scenario needing --workload-path
+        result = run_experiment(spec.config, recorder=recorder)
+    except ValueError as exc:  # e.g. an unreadable workload file
         raise SystemExit(str(exc))
     print(result.summary())
     rows = [
@@ -437,10 +423,11 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
-def _refusal(exc) -> str:
-    """The CLI text of a :class:`~repro.experiments.request.ManifestError`."""
+def _refusal(exc, prefix: str = "invalid --set override: ") -> str:
+    """The CLI text of a :class:`~repro.experiments.request.ManifestError`:
+    a config's own error behind ``prefix``, or the refusal's message."""
     if exc.code == "invalid-overrides" and exc.__cause__ is not None:
-        return f"invalid --set override: {exc.__cause__}"
+        return f"{prefix}{exc.__cause__}"
     return exc.message
 
 
@@ -734,6 +721,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    from repro.experiments.request import campaign_of, execute
+
     entry = FIGURES[args.figure]
     progress = None
     if not args.quiet:
@@ -743,8 +732,8 @@ def _cmd_figure(args) -> int:
                   f"ACT={r.act:.0f}s AE={r.ae:.3f} ({r.wall_seconds:.1f}s wall)",
                   file=sys.stderr)
     specs = figure_cells(entry, base_config(args.profile, seed=args.seed), args.profile)
-    runner = CampaignRunner(jobs=1, use_cache=False, progress=progress)
-    result = fold_figure(entry, runner.run(specs).results(), args.profile)
+    campaign = execute(campaign_of(specs), jobs=1, use_cache=False, progress=progress)
+    result = fold_figure(entry, campaign.results(), args.profile)
     print(f"== {result.title} ==")
     if result.categories:
         headers = ["series"] + result.categories

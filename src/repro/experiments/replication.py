@@ -2,10 +2,10 @@
 
 The paper reports single simulation runs; for a credible open-source
 release the harness should quantify seed noise.  :func:`run_replications`
-executes one configuration under several seeds through the campaign
-runner (optionally fanned out across worker processes — each simulation
-is single-threaded) and returns per-metric mean, standard deviation and a
-Student-t confidence interval.
+executes one configuration under several seeds as a one-algorithm
+campaign request (:mod:`repro.experiments.request`; optionally fanned out
+across worker processes — each simulation is single-threaded) and returns
+per-metric mean, standard deviation and a Student-t confidence interval.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
-from repro.experiments.campaign import CampaignRunner, RunSpec
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.request import execute, resolve
 
 __all__ = ["MetricSummary", "ReplicationResult", "run_replications"]
 
@@ -76,10 +76,11 @@ def run_replications(
     ----------
     jobs:
         Worker processes (1 = run inline; simulations are deterministic
-        per seed either way).  Results are not cached.
+        per seed either way).  Results are not cached.  A repeated seed
+        is refused (:class:`~repro.experiments.request.ManifestError`).
     """
-    specs = [RunSpec(f"s{int(seed)}", config.with_(seed=int(seed))) for seed in seeds]
-    runs = CampaignRunner(jobs=jobs, use_cache=False).run(specs).runs
+    manifest = {"algorithms": [config.algorithm], "seeds": [int(seed) for seed in seeds]}
+    runs = execute(resolve("campaign", manifest, config), jobs=jobs, use_cache=False)
     acts, aes, rates = zip(*((r.result.act, r.result.ae, r.result.completion_rate) for r in runs))
     return ReplicationResult(
         config=config,

@@ -1,4 +1,4 @@
-"""The request pipeline: every campaign and sweep is resolved and run here.
+"""The request pipeline: every run of the simulator is resolved and run here.
 
 A request is a *manifest*, one JSON-shaped dict, over a base config.
 There are two kinds, keyed as the service's request bodies are::
@@ -9,20 +9,29 @@ There are two kinds, keyed as the service's request bodies are::
 
 :func:`resolve` validates a manifest and applies one resolution order:
 the base, then the scenario preset, then the overrides, then the
-algorithm × seed grid.  Every rejection raises :class:`ManifestError`,
-with a stable ``code`` and the offending ``field``.  :func:`execute` runs
-the result: a campaign through
-:class:`~repro.experiments.campaign.CampaignRunner`, a sweep through
-:func:`~repro.experiments.sweep.run_sweep`.
+algorithm × seed grid (a sweep resolves one base per scenario).  Every
+rejection raises :class:`ManifestError`, with a stable ``code`` and the
+offending ``field``; a sweep's is a :class:`SweepError`.
+:func:`campaign_of` makes a campaign request of ready-made cells.
+:func:`execute` runs either kind on one
+:class:`~repro.experiments.campaign.CampaignRunner`: a campaign's cells
+directly, a sweep's probes through :func:`~repro.experiments.sweep.run_sweep`.
 
-Each door only translates its input into these two calls:
+Each door only translates its input into these calls:
 
 * ``repro campaign`` / ``repro sweep`` build a manifest from their flags
   over ``base_config(--profile)`` (default ``small``);
 * :mod:`repro.api` passes its arguments over the caller's base, or the
   paper-scale ``ExperimentConfig()`` defaults;
 * ``repro serve`` resolves over ``ExperimentConfig()`` and adds its size
-  caps (:mod:`repro.service.schemas`).
+  caps (:mod:`repro.service.schemas`);
+* ``repro run`` and :func:`~repro.api.quick_run` resolve a one-cell
+  manifest over their own small base and run its config inline, with no
+  runner, cache or journal;
+* ``repro figure`` / ``repro table 2``, ``scripts/collect_experiments.py``,
+  :func:`~repro.experiments.replication.run_replications` (a one-algorithm
+  manifest over its config) and the ``benchmarks/`` sweeps execute
+  ready-made cells.
 
 ``repro serve`` imports this module at start-up, so its imports stay lazy.
 """
@@ -43,6 +52,8 @@ __all__ = [
     "SWEEP_KEYS",
     "ManifestError",
     "Request",
+    "SweepError",
+    "campaign_of",
     "execute",
     "resolve",
     "sweep_base",
@@ -80,6 +91,10 @@ class ManifestError(ValueError):
         return {"error": error}
 
 
+class SweepError(ManifestError):
+    """A sweep request was invalid (bad settings, an unsweepable scenario...)."""
+
+
 @dataclass(frozen=True)
 class Request:
     """A resolved manifest: what :func:`execute` runs.
@@ -87,7 +102,9 @@ class Request:
     ``specs`` are the resolved configs: a campaign's grid cells in order,
     or a sweep's per-scenario bases (labelled by scenario; the sweep picks
     its probes as it runs).  ``keys`` holds each spec's config hash, and
-    ``sweep`` the arguments of :func:`~repro.experiments.sweep.run_sweep`.
+    ``sweep`` a sweep's algorithms and criterion: the ``settings`` that
+    :func:`~repro.experiments.sweep.run_sweep` reads, and the plain values
+    that :attr:`identity` hashes.
     """
 
     kind: str
@@ -123,10 +140,22 @@ def resolve(
     ``base`` defaults to the paper-scale ``ExperimentConfig()``.
     ``limits`` caps the length of the ``algorithms``, ``seeds`` and
     ``scenarios`` lists (the service's admission caps; none by default).
-    Every rejection raises :class:`ManifestError`.
+    Every rejection raises :class:`ManifestError`, and every rejection of
+    a sweep a :class:`SweepError`.
     """
     if kind not in ("campaign", "sweep"):
         raise ValueError(f"unknown request kind {kind!r}")
+    if base is None:
+        base = _default_base()
+    try:
+        return _resolve(kind, manifest, base, limits or {})
+    except ManifestError as exc:
+        if kind == "campaign" or isinstance(exc, SweepError):
+            raise
+        raise SweepError(exc.code, exc.message, exc.field) from exc.__cause__
+
+
+def _resolve(kind: str, manifest, base: "ExperimentConfig", limits: Mapping) -> Request:
     if not isinstance(manifest, Mapping):
         raise ManifestError(
             "malformed-manifest",
@@ -142,9 +171,6 @@ def resolve(
             f"expected a subset of {{{', '.join(sorted(allowed))}}}",
             field=unknown[0],
         )
-    if base is None:
-        base = _default_base()
-    limits = limits or {}
     if kind == "campaign":
         return _campaign(manifest, base, limits)
     return _sweep(manifest, base, limits)
@@ -210,13 +236,7 @@ def _sweep(manifest: Mapping, base: "ExperimentConfig", limits: Mapping) -> Requ
     settings = SweepSettings(seeds=tuple(seeds), **criterion)
     bases = [RunSpec(name, sweep_base(name, base, overrides)) for name in scenarios]
     return _hashed("sweep", bases, {
-        "scenarios": scenarios,
-        "algorithms": algorithms,
-        "seeds": seeds,
-        "overrides": overrides,
-        **criterion,
-        "base": base,
-        "settings": settings,
+        "algorithms": algorithms, "seeds": seeds, **criterion, "settings": settings,
     })
 
 
@@ -247,8 +267,6 @@ def sweep_base(
 ) -> "ExperimentConfig":
     """One sweep scenario's config, before the probe's algorithm, seed and
     scale; a trace-replay scenario cannot be swept."""
-    from repro.experiments.sweep import SweepError
-
     if base is None:
         base = _default_base()
     config = _scenario_config(base, scenario, overrides)
@@ -270,6 +288,12 @@ def _default_base() -> "ExperimentConfig":
     from repro.experiments.config import ExperimentConfig
 
     return ExperimentConfig()
+
+
+def campaign_of(specs: "Sequence[RunSpec]") -> Request:
+    """A campaign request of ready-made cells (e.g. a figure's
+    :func:`~repro.experiments.figures.figure_cells`), each hashed once."""
+    return _hashed("campaign", specs)
 
 
 def _hashed(kind: str, specs: "Sequence[RunSpec]", sweep: Optional[dict] = None) -> Request:
@@ -383,17 +407,19 @@ def execute(
     """Run a resolved request; returns its ``CampaignResult`` or, for a
     sweep, the capacity-envelope report.
 
-    ``options`` go to :class:`~repro.experiments.campaign.CampaignRunner`
-    (``jobs``, ``cache_dir``, ``use_cache``, ``runner``, ``mp_context``,
-    ``max_retries``, ``retry_backoff``, ``faults``, ``stats``).
-    ``progress(run)`` sees every finished cell and ``on_start(spec, key)``
-    every cell handed to a worker; a sweep also reports each probe to
-    ``probe_progress(scenario, algorithm, probe)``.  ``journal`` records
-    each finished cell's result digest and, once the request succeeds, its
-    fingerprint.  ``expected`` maps config hashes to the digests an earlier
-    run recorded: a cell whose digest differs is not journaled, and fails
-    the request with :class:`~repro.experiments.campaign.CampaignError`
-    once every cell has run.
+    ``options`` go to the one
+    :class:`~repro.experiments.campaign.CampaignRunner` that runs every
+    cell (``jobs``, ``cache_dir``, ``use_cache``, ``runner``,
+    ``mp_context``, ``max_retries``, ``retry_backoff``, ``faults``,
+    ``stats``).  ``progress(run)`` sees every finished cell and
+    ``on_start(spec, key)`` every cell handed to a worker; a sweep also
+    reports each probe to ``probe_progress(scenario, algorithm, probe)``.
+    ``journal`` records each finished cell's result digest and, once the
+    request succeeds, its fingerprint.  ``expected`` maps config hashes to
+    the digests an earlier run recorded: a cell whose digest differs is
+    not journaled, and fails the request with
+    :class:`~repro.experiments.campaign.CampaignError` once every cell has
+    run.
     """
     from repro.experiments.campaign import CampaignError, CampaignRunner
 
@@ -413,18 +439,15 @@ def execute(
         if progress is not None:
             progress(run)
 
+    runner = CampaignRunner(progress=on_done, on_start=on_start, **options)
     if request.kind == "sweep":
         from repro.experiments.sweep import run_sweep
 
-        args = request.sweep
         outcome = run_sweep(
-            args["scenarios"], args["algorithms"], base=args["base"],
-            settings=args["settings"], progress=probe_progress,
-            run_progress=on_done, run_on_start=on_start,
-            **options, **args["overrides"],
+            request.specs, request.sweep["algorithms"], request.sweep["settings"],
+            runner, progress=probe_progress,
         )
     else:
-        runner = CampaignRunner(progress=on_done, on_start=on_start, **options)
         outcome = runner.run(request.specs, keys=request.keys)
     if mismatched:
         raise CampaignError(mismatched)

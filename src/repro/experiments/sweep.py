@@ -13,15 +13,19 @@ completion-rate criterion first fails, then bisecting the bracket down to
 scale**; scenario by scenario the result is a *capacity envelope* the
 paper never measured.
 
-Every probe is an ordinary campaign cell executed through
-:class:`~repro.experiments.campaign.CampaignRunner`, so probes are
-content-hash cached: re-running a sweep replays instantly, an interrupted
-sweep resumes from its cached prefix, and overlapping sweeps (tighter
-resolution, more seeds) share probe results.
+A sweep request is validated and resolved once, by
+:func:`repro.experiments.request.resolve`, into one base config per
+scenario; :func:`repro.experiments.request.execute` hands those bases to
+:func:`run_sweep` with the :class:`~repro.experiments.campaign.CampaignRunner`
+it built.  Every probe is an ordinary campaign cell on that runner, so
+probes are content-hash cached: re-running a sweep replays instantly, an
+interrupted sweep resumes from its cached prefix, and overlapping sweeps
+(tighter resolution, more seeds) share probe results.
 
 Entry points: :func:`run_sweep` (the driver), :func:`format_envelope`
-(ASCII comparison table), ``repro sweep`` (CLI) and ``POST /sweeps``
-(service submission).
+(ASCII comparison table), ``repro sweep`` (CLI), :func:`repro.api.run_sweep`
+and ``POST /sweeps`` (service submission), all through
+:mod:`repro.experiments.request`.
 """
 
 from __future__ import annotations
@@ -31,9 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.experiments.campaign import CampaignRunner, RunSpec
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.request import ManifestError, sweep_base
-from repro.faults import NULL_FAULTS
+from repro.experiments.request import SweepError
 
 __all__ = [
     "SWEEP_SCHEMA",
@@ -58,10 +60,6 @@ _SCALE_DECIMALS = 4
 #: 1/16th of its nominal workload is failing for structural reasons a
 #: finer rate cannot fix.
 MIN_SCALE = 1.0 / 16.0
-
-
-class SweepError(ManifestError):
-    """A sweep request was invalid (bad settings, an unsweepable scenario...)."""
 
 
 @dataclass(frozen=True)
@@ -147,59 +145,25 @@ def _round_scale(scale: float) -> float:
 
 
 def run_sweep(
-    scenarios: Sequence[str],
-    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-    base: Optional[ExperimentConfig] = None,
-    settings: Optional[SweepSettings] = None,
-    jobs: int = 1,
-    cache_dir=None,
-    use_cache: bool = True,
+    bases: Sequence[RunSpec],
+    algorithms: Sequence[str],
+    settings: SweepSettings,
+    runner: CampaignRunner,
     progress: Optional[Callable[[str, str, "_Probe"], None]] = None,
-    runner: Optional[Callable] = None,
-    mp_context: Optional[str] = None,
-    run_progress: Optional[Callable] = None,
-    run_on_start: Optional[Callable] = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.25,
-    faults=NULL_FAULTS,
-    stats: Optional[dict] = None,
-    **overrides,
 ) -> dict:
     """Bisect every (scenario × heuristic) cell to its saturation scale.
 
     Returns the capacity-envelope report (schema :data:`SWEEP_SCHEMA`).
-    ``base``/``overrides`` shape each scenario's config through
-    :func:`repro.experiments.request.sweep_base` (the base, then the
-    scenario, then the overrides); ``progress`` is called with
-    ``(scenario, algorithm, probe)`` after every probe, while
-    ``run_progress``/``run_on_start`` are the finer-grained per-config
-    :class:`CampaignRunner` callbacks (the service layer's status hooks).
-    All probes of a cell run through one shared :class:`CampaignRunner`,
-    so they are content-hash cached and an interrupted sweep resumes for
-    free; ``max_retries``/``retry_backoff``/``faults``/``stats`` forward
-    to that runner (see :class:`CampaignRunner`).
+    ``bases`` are a resolved sweep request's specs, one base config per
+    scenario, labelled by scenario name; every probe of every cell runs on
+    ``runner``, so probes are content-hash cached and an interrupted sweep
+    resumes for free.  ``progress`` is called with ``(scenario, algorithm,
+    probe)`` after every probe.
     """
-    if not scenarios:
-        raise SweepError("invalid-scenarios", "need at least one scenario")
-    if not algorithms:
-        raise SweepError("invalid-algorithms", "need at least one algorithm")
-    if len(set(algorithms)) != len(algorithms):
-        raise SweepError("invalid-algorithms", "duplicate algorithm in sweep request")
-    settings = settings or SweepSettings()
-    kwargs: dict = {}
-    if runner is not None:
-        kwargs["runner"] = runner
-    campaign_runner = CampaignRunner(
-        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
-        mp_context=mp_context, progress=run_progress, on_start=run_on_start,
-        max_retries=max_retries, retry_backoff=retry_backoff,
-        faults=faults, stats=stats,
-        **kwargs,
-    )
-    bases = {name: sweep_base(name, base, overrides) for name in scenarios}
+    configs = {spec.label: spec.config for spec in bases}
 
     def probe(scenario: str, algorithm: str, scale: float) -> _Probe:
-        cfg = bases[scenario]
+        cfg = configs[scenario]
         specs = [
             RunSpec(
                 f"{scenario}/{algorithm}@x{scale:g}#s{seed}",
@@ -207,7 +171,7 @@ def run_sweep(
             )
             for seed in settings.seeds
         ]
-        outcome = campaign_runner.run(specs)
+        outcome = runner.run(specs)
         rates, acts, aes = [], [], []
         n_done = n_wf = 0
         cached = True
@@ -278,8 +242,7 @@ def run_sweep(
         return state
 
     scenario_entries = []
-    for name in scenarios:
-        cfg = bases[name]
+    for name, cfg in configs.items():
         heuristics = {}
         for algorithm in algorithms:
             cell = search(name, algorithm).result(settings)

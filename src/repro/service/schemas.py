@@ -44,7 +44,6 @@ __all__ = [
     "manifest_specs",
     "parse_manifest",
     "result_to_dict",
-    "sweep_request",
 ]
 
 #: Request bodies above this size are rejected outright (HTTP 413).
@@ -105,12 +104,6 @@ def admit(kind: str, manifest: Mapping) -> "Request":
 def manifest_specs(manifest: Mapping) -> "list[RunSpec]":
     """The run specs the service runs for a campaign manifest."""
     return list(admit("campaign", manifest).specs)
-
-
-def sweep_request(manifest: Mapping) -> dict:
-    """The :func:`~repro.experiments.sweep.run_sweep` arguments the service
-    runs for a sweep manifest, with defaults applied."""
-    return admit("sweep", manifest).sweep
 
 
 def result_to_dict(result: "RunResult") -> dict:

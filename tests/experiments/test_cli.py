@@ -142,6 +142,24 @@ def test_run_scenario_with_workload_path(capsys, tmp_path):
     assert "[dsmf]" in capsys.readouterr().out
 
 
+def test_figure_end_to_end(capsys, tmp_path):
+    """``repro figure 12`` at the small profile: five churn runs, the
+    plot, the final-value table and the CSV."""
+    csv = tmp_path / "fig12.csv"
+    assert main(["figure", "12", "--profile", "small", "--csv", str(csv)]) == 0
+    captured = capsys.readouterr()
+    assert "== Throughput of DSMF in Dynamic Environment ==" in captured.out
+    assert f"wrote {csv}" in captured.out
+    labels = [f"dynamic factor={df:g}" for df in (0.0, 0.1, 0.2, 0.3, 0.4)]
+    for label in labels:
+        assert f"[{label}]" in captured.err  # per-run progress
+    rows = csv.read_text().splitlines()
+    assert rows[0] == "series,x,value"
+    assert [row.split(",")[0] for row in rows[1:]] == [
+        label for label in labels for _ in range(len(rows[1:]) // 5)
+    ]
+
+
 def test_figure_requires_known_figure():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["figure", "99"])

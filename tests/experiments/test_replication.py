@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.replication import (
@@ -9,6 +10,7 @@ from repro.experiments.replication import (
     _summary,
     run_replications,
 )
+from repro.experiments.request import ManifestError
 
 
 def _cfg(**kw):
@@ -74,3 +76,9 @@ def test_replication_fans_out_through_the_campaign_runner():
     fanned = run_replications(_cfg(), seeds=(1, 2, 3), jobs=2)
     for metric in ("act", "ae", "completion_rate"):
         assert getattr(fanned, metric) == getattr(inline, metric)
+
+
+def test_a_repeated_seed_is_refused():
+    """A seed listed twice would count one run twice in every summary."""
+    with pytest.raises(ManifestError, match="duplicate"):
+        run_replications(_cfg(), seeds=(1, 2, 1))

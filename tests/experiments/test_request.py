@@ -1,8 +1,11 @@
-"""One request pipeline behind three doors.
+"""One request pipeline behind every door.
 
 The same campaign or sweep sent through ``repro campaign``/``repro
 sweep``, :mod:`repro.api` and the service queue must resolve to the same
-cells: the same labels and config hashes, in the same order.  Execution is
+cells: the same labels and config hashes, in the same order.  ``repro
+run`` and ``quick_run`` run the one cell their manifest resolves to, and
+``repro figure``, ``repro table 2`` and ``run_replications`` hand their
+cells to :func:`~repro.experiments.request.execute`.  Execution is
 intercepted, so no simulation starts.  The rest covers what
 :func:`~repro.experiments.request.execute` adds on top of the runners:
 the journal and the expected-digest check.
@@ -14,7 +17,11 @@ import time
 
 import pytest
 
-from repro.api import run_campaign, run_sweep
+import repro.api
+import repro.experiments.request as request_module
+import repro.experiments.sweep as sweep_module
+from repro.api import quick_run, run_campaign, run_sweep
+from repro.experiments import replication
 from repro.experiments.campaign import (
     CampaignError,
     CampaignResult,
@@ -24,7 +31,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.cli import main
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import base_config
+from repro.experiments.figures import FIGURES, base_config, figure_cells
 from repro.experiments.journal import RunJournal, request_identity
 from repro.experiments.request import ManifestError, execute, resolve
 from repro.metrics.collectors import RunResult
@@ -229,3 +236,114 @@ def test_execute_fails_a_cell_whose_digest_diverged(cells, tmp_path):
     state = RunJournal.load(tmp_path / "j.jsonl")
     # The matching cell is journaled; the diverged one and the finish are not.
     assert list(state.done) == [request.keys[1]] and not state.finished
+
+
+#: ``(quick_run arguments, repro run flags, the one-cell manifest, fields
+#: both runs must have)``.
+ONE_SHOTS = {
+    "plain": (
+        dict(algorithm="heft", n_nodes=24, load_factor=1, duration_hours=4, seed=2),
+        ["-a", "heft", "-n", "24", "-l", "1", "--hours", "4", "--seed", "2"],
+        {"algorithms": ["heft"], "seeds": [2],
+         "overrides": {"n_nodes": 24, "load_factor": 1, "total_time": 4 * 3600.0}},
+        {"algorithm": "heft", "seed": 2, "n_nodes": 24},
+    ),
+    # diurnal-week sets a week-long horizon; the explicit one wins.
+    "explicit-beats-diurnal-week": (
+        dict(duration_hours=6, scenario="diurnal-week"),
+        ["--hours", "6", "--scenario", "diurnal-week"],
+        {"scenario": "diurnal-week", "overrides": {"total_time": 6 * 3600.0}},
+        {"total_time": 6 * 3600.0, "arrival_process": "diurnal"},
+    ),
+    # fig11-grid sets 240 nodes at load factor 1; omitted flags yield to it.
+    "omitted-yields-to-fig11-grid": (
+        dict(duration_hours=2, scenario="fig11-grid"),
+        ["--hours", "2", "--scenario", "fig11-grid"],
+        {"scenario": "fig11-grid", "overrides": {"total_time": 2 * 3600.0}},
+        {"n_nodes": 240, "load_factor": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_SHOTS))
+def test_one_shot_doors_run_their_resolved_cell(monkeypatch, capsys, case):
+    """``quick_run`` resolves over 60 nodes, load factor 2 and 12 h;
+    ``repro run`` over 100 nodes, load factor 3 and 24 h."""
+    ran = []
+
+    def run_experiment(config, recorder=None):
+        ran.append(config)
+        return _result(config)
+
+    monkeypatch.setattr(repro.api, "run_experiment", run_experiment)
+    kwargs, flags, manifest, fields = ONE_SHOTS[case]
+    quick_run(**kwargs)
+    assert main(["run", *flags]) == 0
+    bases = [
+        ExperimentConfig(n_nodes=60, load_factor=2, total_time=12 * 3600.0),
+        ExperimentConfig(n_nodes=100, load_factor=3, total_time=24 * 3600.0),
+    ]
+    expected = [resolve("campaign", manifest, base).keys[0] for base in bases]
+    assert [config_hash(config) for config in ran] == expected
+    for config in ran:
+        assert {name: getattr(config, name) for name in fields} == fields
+
+
+@pytest.fixture
+def executed(monkeypatch) -> list:
+    """Every request handed to :func:`execute`, by any door."""
+    seen: list = []
+
+    def recording(request, **options):
+        seen.append(request)
+        return execute(request, **options)
+
+    monkeypatch.setattr(request_module, "execute", recording)
+    return seen
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["figure", "7", "--quiet"], "7"),
+    (["table", "2"], "table2"),
+], ids=["figure-7", "table-2"])
+def test_repro_figure_executes_its_cells(cells, executed, capsys, argv, name):
+    assert main([*argv, "--profile", "small", "--seed", "3"]) == 0
+    specs = figure_cells(FIGURES[name], base_config("small", seed=3), "small")
+    grid = [(spec.label, config_hash(spec.config)) for spec in specs]
+    (request,) = executed
+    assert list(zip([spec.label for spec in request.specs], request.keys)) == grid
+    assert cells == grid
+
+
+def test_run_replications_executes_a_one_algorithm_campaign(cells, executed, monkeypatch):
+    # replication binds ``execute`` at import; hand it the recording one.
+    monkeypatch.setattr(replication, "execute", request_module.execute)
+    config = ExperimentConfig(algorithm="heft", n_nodes=20, load_factor=1)
+    summary = replication.run_replications(config, seeds=(3, 1), jobs=1)
+    (request,) = executed
+    assert cells == [
+        ("heft#s3", config_hash(config.with_(seed=3))),
+        ("heft#s1", config_hash(config.with_(seed=1))),
+    ]
+    assert [spec.label for spec in request.specs] == ["heft#s3", "heft#s1"]
+    assert summary.seeds == [3, 1] and summary.act.mean == 900.0
+
+
+def test_a_sweep_builds_each_scenario_base_once(cells, monkeypatch):
+    built = []
+    original = request_module.sweep_base
+
+    def counted(*args):
+        built.append(args[0])
+        return original(*args)
+
+    # Count the calls wherever the name is bound.
+    monkeypatch.setattr(request_module, "sweep_base", counted)
+    monkeypatch.setattr(sweep_module, "sweep_base", counted, raising=False)
+    manifest = {
+        "scenarios": ["poisson-steady", "paper-fig4"], "algorithms": ["dsmf"],
+        "overrides": {"n_nodes": 20, "load_factor": 2, "total_time": 3600.0},
+    }
+    report = execute(resolve("sweep", manifest), use_cache=False)
+    assert built == ["poisson-steady", "paper-fig4"]
+    assert [entry["name"] for entry in report["scenarios"]] == ["poisson-steady", "paper-fig4"]

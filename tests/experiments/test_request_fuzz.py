@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.experiments.campaign import config_hash
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.request import ManifestError, resolve
-from repro.service.schemas import admit, manifest_specs, sweep_request
+from repro.service.schemas import admit, manifest_specs
 from repro.workload.scenarios import scenario_names
 
 _GROUPS: dict = {}
@@ -119,7 +119,7 @@ def test_sweep_manifests_resolve_or_refuse(manifest):
     _resolved_or_refused(lambda: [s.config for s in resolve("sweep", manifest).specs])
     _resolved_or_refused(lambda: [s.config for s in admit("sweep", manifest).specs])
     try:
-        request = sweep_request(manifest)
+        request = admit("sweep", manifest).sweep
     except ManifestError:
         return
     for key in ("threshold", "resolution", "max_scale"):

@@ -11,13 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.request import execute, resolve
 from repro.experiments.sweep import (
     MIN_SCALE,
     SWEEP_SCHEMA,
     SweepError,
     SweepSettings,
     format_envelope,
-    run_sweep,
     validate_envelope,
 )
 from repro.metrics.collectors import RunResult
@@ -43,18 +43,31 @@ def fake_runner(config: ExperimentConfig) -> RunResult:
     )
 
 
-def sweep(cache_dir=None, **kwargs):
-    defaults = dict(
-        scenarios=["paper-fig4"],
-        algorithms=["dsmf"],
-        base=ExperimentConfig(n_nodes=20, load_factor=2, total_time=3600.0),
-        settings=SweepSettings(resolution=0.25, max_scale=8.0),
-        runner=fake_runner,
+def sweep(
+    cache_dir=None,
+    scenarios=("paper-fig4",),
+    algorithms=("dsmf",),
+    base=ExperimentConfig(n_nodes=20, load_factor=2, total_time=3600.0),
+    settings=SweepSettings(resolution=0.25, max_scale=8.0),
+    runner=fake_runner,
+    progress=None,
+):
+    """Resolve a sweep manifest over ``base``, then execute it on ``runner``."""
+    manifest = {
+        "scenarios": list(scenarios),
+        "algorithms": list(algorithms),
+        "seeds": list(settings.seeds),
+        "threshold": settings.threshold,
+        "resolution": settings.resolution,
+        "max_scale": settings.max_scale,
+    }
+    return execute(
+        resolve("sweep", manifest, base),
+        probe_progress=progress,
+        runner=runner,
         cache_dir=cache_dir,
         use_cache=cache_dir is not None,
     )
-    defaults.update(kwargs)
-    return run_sweep(**defaults)
 
 
 def cell(report, scenario=0, algorithm="dsmf"):

@@ -15,7 +15,7 @@ from repro.experiments.sweep import validate_envelope
 from repro.metrics.collectors import RunResult
 from repro.service.app import build_server
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.schemas import ManifestError, sweep_request
+from repro.service.schemas import ManifestError, admit
 
 #: dsmf saturates at 1.5x nominal, heft below nominal — both search
 #: directions are exercised in one sweep.
@@ -150,12 +150,12 @@ def test_sweep_request_validation(mutate, code):
     manifest["overrides"] = dict(SWEEP_MANIFEST["overrides"])
     mutate(manifest)
     with pytest.raises(ManifestError) as excinfo:
-        sweep_request(manifest)
+        admit("sweep", manifest).sweep
     assert excinfo.value.code == code
 
 
 def test_sweep_request_applies_defaults():
-    request = sweep_request({"scenarios": ["paper-fig4"]})
+    request = admit("sweep", {"scenarios": ["paper-fig4"]}).sweep
     assert request["algorithms"] == ["dsmf", "dheft", "heft", "smf"]
     assert request["seeds"] == [1]
     assert request["threshold"] == 0.95
