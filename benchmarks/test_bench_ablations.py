@@ -40,7 +40,10 @@ class TestRssSizeAblation:
         )
 
     def test_bench_ablation_rss_size(self, sweep):
-        run_one(rss_mode="oracle")
+        # Full knowledge converges within the bench's default 24 h horizon,
+        # which the half-size view does not.
+        oracle = run_one(rss_mode="oracle")
+        assert oracle.n_done == oracle.n_workflows
         # Bigger views help (or at least never hurt much) ...
         assert sweep["quad"].act <= sweep["half"].act * 1.15
         # ... and the paper's 2*log2(n) sits within 30% of full oracle
@@ -66,7 +69,6 @@ class TestGossipStalenessAblation:
         )
 
     def test_bench_ablation_gossip_staleness(self, sweep):
-        run_one(gossip_interval=1800.0)
         # Fresh info should not be worse than very stale info.
         assert sweep["fresh"].act <= sweep["stale"].act * 1.10
 

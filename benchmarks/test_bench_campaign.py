@@ -27,7 +27,9 @@ SWEEP_BASE = ExperimentConfig(
     task_range=(2, 12),
 )
 
-JOBS = 4
+#: Workers of the parallel sweep, capped at the host's cores: with four
+#: workers on two vCPUs a cell took up to four times its serial time.
+JOBS = min(4, os.cpu_count() or 1)
 
 #: Alternating serial/parallel pairs behind the speedup check: its floor
 #: applies to their median ratio, so one round slowed by a neighbour on a

@@ -8,7 +8,7 @@ paper's plotted 0–0.4 band under the heavier combinations.
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, run_one, run_sweep
+from conftest import bench_config, run_sweep
 
 from repro.experiments.figures import CCR_CASES, FIGURES, figure_cells
 
@@ -24,9 +24,6 @@ def sweep():
 
 
 def test_bench_fig10_ccr(sweep):
-    case = CCR_CASES[3]
-    run_one(algorithm="dheft", load_range=case[1], data_range=case[2])
-
     for name, _, _ in CCR_CASES:
         for rival in ("sufferage", "dheft"):
             assert sweep[("dsmf", name)].ae >= sweep[(rival, name)].ae * 0.95, (

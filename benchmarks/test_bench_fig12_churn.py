@@ -10,7 +10,7 @@ Paper claims reproduced here:
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, run_one, run_sweep
+from conftest import bench_config, run_sweep
 
 from repro.experiments.figures import FIGURES, figure_cells
 
@@ -26,8 +26,6 @@ def sweep():
 
 
 def test_bench_fig12_churn_throughput(sweep):
-    run_one(algorithm="dsmf", dynamic_factor=0.2)
-
     done = {df: sweep[df].n_done for df in DFS}
     # Heavy churn hurts throughput vs the static run...
     assert done[0.4] < done[0.0]

@@ -8,7 +8,6 @@ by a double-digit percentage on converged ACT; SMF/DSMF are the two best.
 from __future__ import annotations
 
 import pytest
-from conftest import run_one
 
 from repro.experiments.figures import FIGURES, fold_figure
 
@@ -18,8 +17,6 @@ DECENTRALIZED_RIVALS = ("min-min", "max-min", "sufferage", "dheft", "dsdf")
 
 
 def test_bench_fig5_finish_time(static_suite):
-    run_one(algorithm="min-min")
-
     act = {alg: r.act for alg, r in static_suite.items()}
 
     # DSMF beats every decentralized rival on ACT.

@@ -8,7 +8,6 @@ the best decentralized algorithm, improving markedly over the rivals
 from __future__ import annotations
 
 import pytest
-from conftest import run_one
 
 from repro.experiments.figures import FIGURES, fold_figure
 
@@ -18,8 +17,6 @@ DECENTRALIZED_RIVALS = ("min-min", "max-min", "sufferage", "dheft", "dsdf")
 
 
 def test_bench_fig6_efficiency(static_suite):
-    run_one(algorithm="sufferage")
-
     ae = {alg: r.ae for alg, r in static_suite.items()}
 
     assert max(ae, key=ae.get) == "smf"          # SMF best overall

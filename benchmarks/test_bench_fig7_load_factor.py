@@ -8,7 +8,7 @@ algorithms as competition intensifies (the paper highlights lf = 6..8).
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, run_one, run_sweep
+from conftest import bench_config, run_sweep
 
 from repro.experiments.figures import FIGURES, figure_cells
 
@@ -26,8 +26,6 @@ def sweep():
 
 
 def test_bench_fig7_load_factor(sweep):
-    run_one(algorithm="dsmf", load_factor=4)
-
     # ACT increases with resource competition for every algorithm.
     for alg in ALGS:
         acts = [sweep[(alg, lf)].act for lf in LOAD_FACTORS]

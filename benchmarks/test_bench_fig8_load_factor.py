@@ -8,7 +8,7 @@ over the decentralized rivals under high competition.
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, run_one, run_sweep
+from conftest import bench_config, run_sweep
 
 from repro.experiments.figures import FIGURES, figure_cells
 
@@ -26,8 +26,6 @@ def sweep():
 
 
 def test_bench_fig8_load_factor(sweep):
-    run_one(algorithm="min-min", load_factor=4)
-
     for alg in ALGS:
         aes = [sweep[(alg, lf)].ae for lf in LOAD_FACTORS]
         assert aes[0] > aes[-1], (alg, aes)  # efficiency falls with load

@@ -8,7 +8,7 @@ algorithms across all four combinations.
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, run_one, run_sweep
+from conftest import bench_config, run_sweep
 
 from repro.experiments.figures import CCR_CASES, FIGURES, figure_cells
 
@@ -24,9 +24,6 @@ def sweep():
 
 
 def test_bench_fig9_ccr(sweep):
-    case = CCR_CASES[0]
-    run_one(algorithm="dsmf", load_range=case[1], data_range=case[2])
-
     light, heavy_data = CCR_CASES[0][0], CCR_CASES[1][0]
     heavy_load, heavy_both = CCR_CASES[2][0], CCR_CASES[3][0]
 

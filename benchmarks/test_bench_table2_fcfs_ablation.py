@@ -20,7 +20,7 @@ section that ``scripts/render_experiments.py`` renders):
 from __future__ import annotations
 
 import pytest
-from conftest import bench_config, run_one, run_sweep
+from conftest import bench_config, run_sweep
 
 from repro.experiments.figures import FIGURES, figure_cells
 
@@ -36,8 +36,6 @@ def sweep():
 
 
 def test_bench_table2_fcfs_ablation(sweep):
-    run_one(algorithm="min-min-fcfs")
-
     # The dual-phase heart of the paper: DSMF's ready-set scheduling
     # (Formula 10) clearly beats FCFS at resource nodes.
     assert sweep["dsmf"].act < 0.95 * sweep["dsmf-fcfs"].act

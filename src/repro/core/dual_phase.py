@@ -149,7 +149,8 @@ class Phase1Runner:
         system = self.system
         nodes = system.nodes
         ids = self._candidates(home_id)
-        if system.config.rss_mode == "oracle":
+        oracle = system.config.rss_mode == "oracle"
+        if oracle:
             caps = [nodes[i].capacity for i in ids]
             loads = [nodes[i].total_load() for i in ids]
         else:
@@ -165,12 +166,17 @@ class Phase1Runner:
                     observe("sched.rss_age_at_plan_seconds", age)
         now = system.sim.now
 
-        def writeback(target: int, new_load: float) -> None:
+        def writeback(k: int, new_load: float) -> None:
             # Algorithm 1 line 15: the dispatched load is also written into
-            # the home's own gossip record of the target so it persists
-            # until a fresher record arrives.
-            if target != home_id:
-                system.epidemic.apply_local_update(home_id, target, new_load, now)
+            # the home's own gossip record of candidate k (0 is the home) so
+            # it persists until a fresher record arrives.  A gossip view's
+            # candidate k is RSS slot k - 1 (only execute_decision, after
+            # the plan, reorders the row).
+            if k and oracle:
+                system.epidemic.apply_local_update(home_id, ids[k], new_load, now)
+            elif k:
+                rss_loads[k - 1] = new_load
+                rss_ts[k - 1] = now
 
         # Trusted fast path: the lists above are plain ints/floats from
         # node/gossip state, so per-element validation is skipped.

@@ -221,8 +221,8 @@ class ResourceView:
         self._loads_arr: np.ndarray | None = None
         self.bandwidth = bandwidth
         self.home_id = int(home_id)
-        #: persistent write-back of Algorithm 1 line 15 (e.g. into the
-        #: home's gossip RSS record) applied on every ``add_load``.
+        #: persistent write-back of Algorithm 1 line 15 (e.g. into the home's
+        #: gossip RSS record): ``add_load`` calls ``writeback(index, new load)``.
         self.writeback = writeback
         self._index = {nid: k for k, nid in enumerate(self._ids)}
         self._scalar = len(self._ids) <= _SCALAR_MAX
@@ -389,4 +389,4 @@ class ResourceView:
         if on_update is not None:
             on_update(int(node_id), new)
         if self.writeback is not None:
-            self.writeback(int(node_id), new)
+            self.writeback(k, new)

@@ -37,7 +37,7 @@ class HeftPlanner(FullAheadPlanner):
             wf = wx.wf
             by_wid[wf.wid] = wx
             rank = upward_rank(wf, view.avg_capacity, view.avg_bandwidth)
-            pos = {tid: i for i, tid in enumerate(wf.topo_order)}
+            pos = wf.topo_index
             for tid in wf.tasks:
                 pooled.append((-rank[tid], wf.wid, pos[tid], tid))
         # Descending rank; topo position breaks zero-cost ties so precedents

@@ -43,7 +43,7 @@ class SmfPlanner(FullAheadPlanner):
         for wx in ordered:
             wf = wx.wf
             rank = upward_rank(wf, view.avg_capacity, view.avg_bandwidth)
-            pos = {tid: i for i, tid in enumerate(wf.topo_order)}
+            pos = wf.topo_index
             # Descending RPM inside the workflow (ties: topological order,
             # so precedence constraints are respected for zero-cost tasks).
             order = sorted(wf.tasks, key=lambda t: (-rank[t], pos[t]))

@@ -56,13 +56,13 @@ def compute_priorities(
 ) -> WorkflowPriority:
     """Evaluate Eq. (7)/(8) for one workflow against a resource view.
 
-    Each DAG edge is visited exactly once in the backward pass and each
-    schedule point costs one Formula-(9) minimum over the candidate set
-    (``view.best_ft``, whose transfer term the cycle's Eq. (4) batch has
-    already evaluated), giving the O(θ(f)) + O(|spset|·|RSS|) complexity
-    of §III.E.
+    Each DAG edge is visited at most once in the backward pass, which
+    stops at the earliest schedule point, and each schedule point costs
+    one Formula-(9) minimum over the candidate set (``view.best_ft``,
+    whose transfer term the cycle's Eq. (4) batch has already evaluated),
+    giving the O(θ(f)) + O(|spset|·|RSS|) complexity of §III.E.
     """
-    after = rest_path_after(wx.wf, avg_capacity, avg_bandwidth)
+    after = rest_path_after(wx.wf, avg_capacity, avg_bandwidth, wx.schedule_points)
     rpm: dict[int, float] = {}
     restpath: dict[int, float] = {}
     for tid in wx.schedule_points:

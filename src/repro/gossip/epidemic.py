@@ -18,9 +18,9 @@ departed nodes disappear from scheduling views under churn.
 
 The per-node view exposed to Algorithm 1 is :meth:`rss_columns` (array
 slices) / :meth:`rss_view` (a dict snapshot); the scheduler additionally
-*writes back* its dispatch decisions via :meth:`apply_local_update`
-(Algorithm 1 line 15) so consecutive picks in the same scheduling cycle
-see the load they just added.
+*writes back* its dispatch decisions into its own records (Algorithm 1
+line 15) so consecutive picks in the same scheduling cycle see the load
+they just added.
 
 The RSS caches are one :class:`~repro.gossip.table.RecordTable`: the key
 is the record owner, the float planes are stamp, capacity and load, and
@@ -200,8 +200,9 @@ class EpidemicGossip:
 
         Returns ``(ids, capacities, loads, timestamps)`` views over the
         node's row, in slot order — the zero-copy form Algorithm 1's
-        candidate table is built from.  Callers must not mutate them (use
-        :meth:`apply_local_update` / :meth:`discard`).
+        candidate table is built from.  Only line 15's write-back writes
+        through them (loads and stamps, at the slot its candidate was read
+        from); other callers use :meth:`apply_local_update` / :meth:`discard`.
         """
         t = self.table
         m = t.lens[node_id]

@@ -312,14 +312,11 @@ class P2PGridSystem:
                     label="fullahead",
                 )
 
-        # The event loop allocates container-heavy but almost entirely
-        # acyclic garbage (records, digests, eviction rebuilds) that
-        # reference counting already reclaims; the default gen-0 threshold
-        # (700) makes the cycle collector sweep hundreds of times per run
-        # to find only the occasional completion-event closure cycle.
-        # Raising the threshold for the duration of the loop removes that
-        # overhead (~5-10% wall) at a bounded, transient RSS cost; the
-        # previous setting is always restored.
+        # A run leaves no cyclic garbage: reference counting frees all it
+        # drops.  Yet each container it allocates counts towards a gen-0
+        # sweep, and the default threshold (700) would sweep hundreds of
+        # times per run to find nothing.  The threshold is raised for the
+        # loop and the previous setting always restored.
         gc_thresholds = gc.get_threshold()
         gc.set_threshold(100_000, gc_thresholds[1], gc_thresholds[2])
         try:
@@ -555,24 +552,22 @@ class P2PGridSystem:
         """Start image + dependent-data transfers; arm readiness counting."""
         pending = 0
         target = dispatch.target_id
+        arrived = self._arrival(dispatch)
         if dispatch.image_size > 0.0 and dispatch.home_id != target:
             pending += 1
-            self.transfers.start(
-                dispatch.home_id,
-                target,
-                dispatch.image_size,
-                lambda d=dispatch: self._transfer_arrived(d),
-            )
+            self.transfers.start(dispatch.home_id, target, dispatch.image_size, arrived)
         for src, mb in inputs:
             if mb > 0.0 and src != target:
                 pending += 1
-                self.transfers.start(
-                    src, target, mb, lambda d=dispatch: self._transfer_arrived(d)
-                )
+                self.transfers.start(src, target, mb, arrived)
         dispatch.pending_inputs = pending
         if pending == 0:
             dispatch.ready_time = self.sim.now
             self._try_start(self.nodes[target])
+
+    def _arrival(self, dispatch: TaskDispatch):
+        """One callback, shared by the dispatch's transfers, per arrival."""
+        return lambda: self._transfer_arrived(dispatch)
 
     def _transfer_arrived(self, dispatch: TaskDispatch) -> None:
         if dispatch.cancelled:
@@ -715,14 +710,10 @@ class P2PGridSystem:
         node.enqueue(dispatch)
 
         pending = 0
+        arrived = self._arrival(dispatch)
         if task.image_size > 0.0 and wx.home_id != target:
             pending += 1
-            self.transfers.start(
-                wx.home_id,
-                target,
-                task.image_size,
-                lambda d=dispatch: self._transfer_arrived(d),
-            )
+            self.transfers.start(wx.home_id, target, task.image_size, arrived)
         for p, data in wf.precedents[tid].items():
             if p in wx.finished:
                 # Producer already done (virtual entry at t=0): only a real
@@ -730,10 +721,7 @@ class P2PGridSystem:
                 src = wx.finished[p][0]
                 if data > 0.0 and src != target:
                     pending += 1
-                    self.transfers.start(
-                        src, target, data,
-                        lambda d=dispatch: self._transfer_arrived(d),
-                    )
+                    self.transfers.start(src, target, data, arrived)
             else:
                 # Every unfinished precedent holds one readiness token, even
                 # for co-located / zero-data edges — otherwise a successor
@@ -760,10 +748,7 @@ class P2PGridSystem:
                 continue
             if data > 0.0 and producer_node != consumer.target_id:
                 self.transfers.start(
-                    producer_node,
-                    consumer.target_id,
-                    data,
-                    lambda d=consumer: self._transfer_arrived(d),
+                    producer_node, consumer.target_id, data, self._arrival(consumer)
                 )
             else:
                 self._transfer_arrived(consumer)

@@ -11,6 +11,10 @@ An optional *contention* mode (an extension beyond the paper, exercised by
 the ablation benches) divides a node's inbound capacity among its active
 inbound transfers by rescheduling completions whenever the active set
 changes (processor-sharing approximation).
+
+A :class:`Transfer` is its own completion event's callback and drops that
+event when it finishes, so reference counting frees a finished transfer, its
+event and its arrival callback at once: no cycle is left for the collector.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ __all__ = ["Transfer", "TransferManager"]
 
 
 class Transfer:
-    """One in-flight data movement."""
+    """One in-flight data movement; calling it completes it."""
 
     __slots__ = (
+        "manager",
         "src",
         "dst",
         "megabits",
@@ -41,12 +46,14 @@ class Transfer:
 
     def __init__(
         self,
+        manager: "TransferManager",
         src: int,
         dst: int,
         megabits: float,
         on_complete: Callable[[], None],
         seq: int,
     ):
+        self.manager = manager
         self.src = src
         self.dst = dst
         self.megabits = megabits
@@ -58,6 +65,9 @@ class Transfer:
         self.remaining = megabits
         self.armed_at = 0.0
         self.rate = 0.0
+
+    def __call__(self) -> None:
+        self.manager._finish(self)
 
     def cancel(self) -> None:
         """Abort the transfer (destination churned out)."""
@@ -98,7 +108,7 @@ class TransferManager:
         get uniform asynchronous semantics.
         """
         self.started += 1
-        tr = Transfer(src, dst, megabits, on_complete, self.started)
+        tr = Transfer(self, src, dst, megabits, on_complete, self.started)
         if self.recorder is not None:
             self.recorder.add(
                 self.sim.now, "transfer_start", dst, tid=tr.seq, src=src, size=megabits
@@ -114,7 +124,7 @@ class TransferManager:
             self._arm_contended(dst)
         else:
             delay = self.topology.transfer_time(src, dst, megabits)
-            tr.event = self.sim.schedule(delay, lambda: self._finish(tr), label="xfer")
+            tr.event = self.sim.schedule(delay, tr, label="xfer")
         return tr
 
     def cancel_inbound(self, dst: int) -> int:
@@ -135,6 +145,7 @@ class TransferManager:
         if tr.done:
             return
         tr.done = True
+        tr.event = None
         tr.remaining = 0.0
         group = self.inbound.get(tr.dst)
         if group is not None:
@@ -176,10 +187,10 @@ class TransferManager:
                     tr.remaining = max(0.0, tr.remaining - tr.rate * (now - tr.armed_at))
             if tr.megabits <= 0.0 or tr.src == tr.dst or tr.remaining <= 0.0:
                 tr.rate = 0.0
-                tr.event = self.sim.schedule(0.0, lambda t=tr: self._finish(t), label="xfer0")
+                tr.event = self.sim.schedule(0.0, tr, label="xfer0")
                 continue
             bw = self.topology.bandwidth(tr.src, tr.dst) / n
             delay = tr.remaining / bw + self.topology.latency(tr.src, tr.dst)
             tr.armed_at = now
             tr.rate = bw
-            tr.event = self.sim.schedule(delay, lambda t=tr: self._finish(t), label="xferC")
+            tr.event = self.sim.schedule(delay, tr, label="xferC")

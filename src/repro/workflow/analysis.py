@@ -19,6 +19,8 @@ visited exactly once (the complexity bound of §III.E).
 
 from __future__ import annotations
 
+from typing import Collection
+
 from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -78,14 +80,34 @@ def upward_rank(
 
 
 def rest_path_after(
-    wf: Workflow, avg_capacity: float, avg_bandwidth: float
+    wf: Workflow,
+    avg_capacity: float,
+    avg_bandwidth: float,
+    points: Collection[int] | None = None,
 ) -> dict[int, float]:
     """``max_s (ett(t,s) + rank(s))`` for every task (0 for the exit task).
 
     This is the offspring part of a schedule-point's RPM: add the task's own
-    dynamically estimated finish time to obtain Eq. (7)'s value.
+    dynamically estimated finish time to obtain Eq. (7)'s value.  With
+    ``points``, only the tasks from the earliest of them in topological
+    order on are swept, over ``wf.reverse_sweep``: they hold every point's
+    descendants, so each entry is the same float as the full sweep's.
     """
-    return _ranks(wf, avg_capacity, avg_bandwidth)[0]
+    if points is None:
+        return _ranks(wf, avg_capacity, avg_bandwidth)[0]
+    sweep = wf.reverse_sweep
+    first = min(map(wf.topo_index.__getitem__, points), default=len(sweep))
+    rank: dict[int, float] = {}
+    after: dict[int, float] = {}
+    for tid, load, successors in sweep[: len(sweep) - first]:
+        best = 0.0
+        for s, data in successors:
+            cand = data / avg_bandwidth + rank[s]
+            if cand > best:
+                best = cand
+        after[tid] = best
+        rank[tid] = load / avg_capacity + best
+    return after
 
 
 def expected_finish_time(

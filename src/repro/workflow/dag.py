@@ -11,6 +11,7 @@ virtual task connecting them is added (:meth:`Workflow.normalized`).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from repro.workflow.task import Task
@@ -119,6 +120,20 @@ class Workflow:
                 "call normalized() first"
             )
         return self.exit_ids[0]
+
+    @cached_property
+    def topo_index(self) -> dict[int, int]:
+        """Each task's position in ``topo_order``."""
+        return {tid: k for k, tid in enumerate(self.topo_order)}
+
+    @cached_property
+    def reverse_sweep(self) -> list[tuple[int, float, tuple[tuple[int, float], ...]]]:
+        """``(tid, load, successor items)`` in reverse topological order."""
+        tasks, successors = self.tasks, self.successors
+        return [
+            (tid, tasks[tid].load, tuple(successors[tid].items()))
+            for tid in reversed(self.topo_order)
+        ]
 
     @property
     def n_tasks(self) -> int:
